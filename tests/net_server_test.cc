@@ -4,9 +4,10 @@
 // come back in order; SIGTERM-style Shutdown() must drain — every request
 // already sent (buffered or in flight at the engine) gets its response
 // before the connection closes; protocol garbage must kill only its own
-// connection; and the connection cap must shed with kUnavailable at the
-// door. The multi-connection hammer against a reloading engine is the
-// TSan target (CI runs this suite under -fsanitize=thread).
+// connection; the connection cap must shed with kUnavailable at the door;
+// and the client must send a pipelined window in one write. The
+// multi-connection hammer against a reloading engine is the TSan target
+// (CI runs this suite under -fsanitize=thread).
 
 #include <atomic>
 #include <cstring>
@@ -72,25 +73,39 @@ bool BitsEqual(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-// Reads exactly one response frame from a raw socket (header, payload,
-// shared decoder) — for tests that bypass TsodClient.
-StatusOr<WireResponse> ReadOneResponse(const Socket& socket) {
-  std::string bytes(sizeof(WireHeader), '\0');
-  TSO_RETURN_IF_ERROR(ReadFull(socket, bytes.data(), bytes.size()));
+// Reads exactly one frame from a raw socket into `bytes` (header, payload,
+// shared decoder) — for tests that bypass TsodClient or TsodServer.
+StatusOr<WireFrame> ReadOneFrame(const Socket& socket, std::string* bytes) {
+  bytes->assign(sizeof(WireHeader), '\0');
+  TSO_RETURN_IF_ERROR(ReadFull(socket, bytes->data(), bytes->size()));
   WireHeader header;
-  std::memcpy(&header, bytes.data(), sizeof(header));
-  bytes.resize(sizeof(header) + header.payload_size);
+  std::memcpy(&header, bytes->data(), sizeof(header));
+  bytes->resize(sizeof(header) + header.payload_size);
   if (header.payload_size > 0) {
-    TSO_RETURN_IF_ERROR(
-        ReadFull(socket, bytes.data() + sizeof(header), header.payload_size));
+    TSO_RETURN_IF_ERROR(ReadFull(socket, bytes->data() + sizeof(header),
+                                 header.payload_size));
   }
   WireFrame frame;
   size_t needed = 0;
   Status error;
-  if (DecodeFrame(bytes, &frame, &needed, &error) != DecodeResult::kFrame) {
+  if (DecodeFrame(*bytes, &frame, &needed, &error) != DecodeResult::kFrame) {
     return error.ok() ? Status::Internal("incomplete frame") : error;
   }
-  return ParseResponse(frame);
+  return frame;
+}
+
+StatusOr<WireResponse> ReadOneResponse(const Socket& socket) {
+  std::string bytes;
+  StatusOr<WireFrame> frame = ReadOneFrame(socket, &bytes);
+  TSO_RETURN_IF_ERROR(frame.status());
+  return ParseResponse(*frame);
+}
+
+StatusOr<WireRequest> ReadOneRequest(const Socket& socket) {
+  std::string bytes;
+  StatusOr<WireFrame> frame = ReadOneFrame(socket, &bytes);
+  TSO_RETURN_IF_ERROR(frame.status());
+  return ParseRequest(*frame);
 }
 
 TEST(TsodServer, EndToEndBitIdenticalAnswers) {
@@ -323,6 +338,7 @@ TEST(TsodServer, ShutdownDrainsInflightQuery) {
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
   ASSERT_TRUE(failpoint::Arm("serve.query", "pause").ok());
   ASSERT_TRUE(client.SendDistance(0, 1).ok());
+  ASSERT_TRUE(client.Flush().ok());  // SendDistance only queues
   while (engine.stats().inflight == 0) std::this_thread::yield();
 
   std::thread shutdown_thread([&server]() { server.Shutdown(); });
@@ -364,7 +380,8 @@ TEST(TsodServer, ShutdownAnswersBufferedPipelinedRequests) {
   for (const auto& [s, t] : pairs) {
     ASSERT_TRUE(client.SendDistance(s, t).ok());
   }
-  // Every request is in the server's kernel buffer (WriteFull returned).
+  ASSERT_TRUE(client.Flush().ok());
+  // Every request is in the server's kernel buffer (the flush returned).
   server.Shutdown();
   for (const auto& [s, t] : pairs) {
     StatusOr<double> got = client.RecvDistance();
@@ -437,6 +454,79 @@ TEST(TsodServer, ConnectionCapShedsWithUnavailable) {
   server.Shutdown();
   EXPECT_EQ(server.stats().shed_connections, 1u);
   EXPECT_EQ(server.stats().accepted, 2u);
+}
+
+// The client batches its sends: pipelined requests stay in the process
+// until a flush writes them all at once, and responses that arrive in one
+// write are handed out one at a time. A raw peer stands in for the server,
+// so the net.write seam (armed to count, never to fire) sees only the
+// client's writes until the peer answers.
+TEST(TsodClient, PipelinedWindowLeavesInOneWrite) {
+  StatusOr<Socket> listener = ListenTcpLoopback(0, 1);
+  ASSERT_TRUE(listener.ok());
+  StatusOr<uint16_t> port = BoundPort(*listener);
+  ASSERT_TRUE(port.ok());
+  TsodClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", *port).ok());
+  StatusOr<Socket> peer = AcceptTcp(*listener);
+  ASSERT_TRUE(peer.ok());
+
+  ASSERT_TRUE(failpoint::Arm("net.write", "0*error").ok());
+  ASSERT_TRUE(failpoint::Arm("net.read", "0*error").ok());
+  const uint64_t writes = failpoint::Hits("net.write");
+  constexpr uint32_t kPipelined = 100;
+  for (uint32_t i = 0; i < kPipelined; ++i) {
+    ASSERT_TRUE(client.SendDistance(i, i + 1).ok());
+  }
+  EXPECT_EQ(failpoint::Hits("net.write") - writes, 0u);
+  ASSERT_TRUE(client.Flush().ok());
+  EXPECT_EQ(failpoint::Hits("net.write") - writes, 1u);
+  ASSERT_TRUE(client.Flush().ok());  // nothing queued: no write
+  EXPECT_EQ(failpoint::Hits("net.write") - writes, 1u);
+
+  // The peer reads every request intact and answers them in one write.
+  std::string answers;
+  for (uint32_t i = 0; i < kPipelined; ++i) {
+    StatusOr<WireRequest> request = ReadOneRequest(*peer);
+    ASSERT_TRUE(request.ok()) << request.status().ToString();
+    EXPECT_EQ(request->kind, kWireKindDistance);
+    EXPECT_EQ(request->request_id, i + 1);
+    EXPECT_EQ(request->s, i);
+    EXPECT_EQ(request->t, i + 1);
+    AppendDistanceResponse(&answers, request->request_id, i + 0.5);
+  }
+  ASSERT_TRUE(WriteFull(*peer, answers.data(), answers.size()).ok());
+  const uint64_t reads = failpoint::Hits("net.read");
+  for (uint32_t i = 0; i < kPipelined; ++i) {
+    StatusOr<double> got = client.RecvDistance();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, i + 0.5);
+  }
+  // The answers are one loopback segment, so one read takes them all.
+  EXPECT_EQ(failpoint::Hits("net.read") - reads, 1u);
+  EXPECT_EQ(client.RecvDistance().status().code(),
+            StatusCode::kFailedPrecondition);
+  failpoint::Disarm("net.write");
+  failpoint::Disarm("net.read");
+
+  // A synchronous call after the answered window takes the next id and
+  // matches it.
+  uint32_t health_id = 0;
+  std::thread answer([&]() {
+    StatusOr<WireRequest> request = ReadOneRequest(*peer);
+    if (!request.ok()) return;
+    health_id = request->request_id;
+    std::string out;
+    AppendHealthResponse(&out, request->request_id,
+                         static_cast<uint8_t>(ServeHealth::kServing));
+    (void)WriteFull(*peer, out.data(), out.size());
+  });
+  StatusOr<uint8_t> health = client.Health();
+  answer.join();
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(*health, static_cast<uint8_t>(ServeHealth::kServing));
+  EXPECT_EQ(health_id, kPipelined + 1);
+  EXPECT_TRUE(client.connected());
 }
 
 TEST(TsodServer, StartAndShutdownLifecycle) {
