@@ -78,13 +78,13 @@ void Run() {
 
   // --- 4: serialization ---
   Table serde("Serialization", {"metric", "value"});
-  const std::string blob = SerializeSeOracle(*keep);
+  const std::string blob = SerializeSeOracleFlat(*keep);
   serde.AddRow("in-memory SizeBytes (MB)", MegaBytes(keep->SizeBytes()));
-  serde.AddRow("serialized blob (MB)", MegaBytes(blob.size()));
+  serde.AddRow("flat blob (MB)", MegaBytes(blob.size()));
   WallTimer timer;
-  StatusOr<SeOracle> loaded = DeserializeSeOracle(blob);
+  StatusOr<SeOracle> loaded = MaterializeSeOracle(blob);
   TSO_CHECK(loaded.ok());
-  serde.AddRow("deserialize_ms", timer.ElapsedMillis());
+  serde.AddRow("materialize_ms", timer.ElapsedMillis());
   serde.Print();
 }
 

@@ -1,10 +1,5 @@
 #include "base/atomic_file.h"
 
-#include "base/failpoint.h"
-
-#ifdef _WIN32
-#include <fstream>
-#else
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -12,23 +7,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#endif
+
+#include "base/failpoint.h"
 
 namespace tso {
-
-#ifdef _WIN32
-
-Status WriteFileAtomic(const std::string& path, std::string_view data) {
-  // No POSIX rename/fsync semantics here; degrade to a plain write like the
-  // rest of the serving stack degrades without mmap.
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::Ok();
-}
-
-#else
 
 namespace {
 
@@ -100,7 +82,5 @@ Status WriteFileAtomic(const std::string& path, std::string_view data) {
   if (!s.ok()) ::unlink(tmp.c_str());  // best-effort; may already be renamed
   return s;
 }
-
-#endif  // _WIN32
 
 }  // namespace tso

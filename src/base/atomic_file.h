@@ -13,7 +13,7 @@ namespace tso {
 /// the rename itself is durable. A crash (or kill -9) at any point leaves
 /// either the complete previous file or the complete new file at `path` —
 /// never a torn or partially-visible artifact. Every oracle emit path
-/// (TSOFLAT, TSOPACK, legacy serde, mesh writers) publishes through here.
+/// (TSOFLAT, TSOPACK, mesh writers) publishes through here.
 ///
 /// On error the temp file is removed and `path` is untouched, with one
 /// documented exception: a failure of the final directory fsync returns the
@@ -22,9 +22,6 @@ namespace tso {
 ///
 /// Failpoint seams (docs/robustness.md): atomicfile.open, atomicfile.write,
 /// atomicfile.fsync, atomicfile.rename, atomicfile.dirsync.
-///
-/// On platforms without POSIX fds (_WIN32) this degrades to a plain
-/// non-atomic stream write, matching the mmap fallback story.
 Status WriteFileAtomic(const std::string& path, std::string_view data);
 
 }  // namespace tso

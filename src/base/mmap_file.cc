@@ -1,13 +1,5 @@
 #include "base/mmap_file.h"
 
-#include <utility>
-
-#include "base/failpoint.h"
-
-#ifdef _WIN32
-// The serving stack targets POSIX; on Windows the mmap path degrades to an
-// Unimplemented error and callers fall back to the legacy loader.
-#else
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
@@ -15,23 +7,11 @@
 
 #include <cerrno>
 #include <cstring>
-#endif
+#include <utility>
+
+#include "base/failpoint.h"
 
 namespace tso {
-
-#ifdef _WIN32
-
-StatusOr<MmapFile> MmapFile::Open(const std::string& path) {
-  return Status::Unimplemented("mmap is not supported on this platform: " +
-                               path);
-}
-
-MmapFile::~MmapFile() = default;
-MmapFile::MmapFile(MmapFile&& other) noexcept = default;
-MmapFile& MmapFile::operator=(MmapFile&& other) noexcept = default;
-void MmapFile::Close() {}
-
-#else
 
 StatusOr<MmapFile> MmapFile::Open(const std::string& path) {
   TSO_FAILPOINT("mmap.open");
@@ -88,7 +68,5 @@ MmapFile& MmapFile::operator=(MmapFile&& other) noexcept {
   }
   return *this;
 }
-
-#endif  // _WIN32
 
 }  // namespace tso

@@ -14,8 +14,8 @@
 
 namespace tso {
 
-/// Every serialized oracle artifact (legacy varint stream and flat sections
-/// alike) stores little-endian fixed-width integers and IEEE doubles. POD
+/// Every serialized artifact (flat oracle sections and wire frames alike)
+/// stores little-endian fixed-width integers and IEEE doubles. POD
 /// arrays are written by memcpy, so the host must already be little-endian;
 /// a big-endian port would need byte-swapping shims in this file. The
 /// static_asserts below turn a silent garbage-read on such a port into a

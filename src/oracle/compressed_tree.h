@@ -102,8 +102,8 @@ class CompressedTreeView {
   int height_ = 0;
 };
 
-/// Load-time validation shared by both oracle loaders (legacy deserializer
-/// and OracleView): every node's child list must contain exactly
+/// Load-time validation run by every oracle loader (OracleView, and through
+/// it MaterializeSeOracle and PackView): every node's child list must contain exactly
 /// num_children nodes, each naming that node as its parent, then terminate.
 /// Combined with bounds-checked links this rules out sibling/child cycles,
 /// so tree traversals (e.g. KnnQueryPruned's best-first search) terminate

@@ -13,9 +13,6 @@
 namespace tso {
 namespace {
 
-constexpr uint32_t kMagic = 0x53454f52;  // "SEOR" (legacy stream format)
-constexpr uint32_t kVersion = 1;
-
 uint64_t AlignUp(uint64_t v, uint64_t align) {
   return (v + align - 1) / align * align;
 }
@@ -47,19 +44,13 @@ Status ReadFileToString(const std::string& path, std::string* out) {
   return Status::Ok();
 }
 
-Status WriteStringToFile(const std::string& blob, const std::string& path) {
-  // Crash-safe publication: a killed builder never leaves a torn artifact
-  // visible at `path` (see base/atomic_file.h).
-  return WriteFileAtomic(path, blob);
-}
-
-/// Full structural validation of deserialized perfect-hash tables: Lookup
+/// Full structural validation of ingested perfect-hash tables: Lookup
 /// indexes bucket_offset[b] + Mix(...) % width into the slot arrays, so
 /// offsets must be monotone and bounded by consistent slot-array sizes, and
-/// stored values must index into the pair list. Shared by the legacy
-/// deserializer and MaterializeSeOracle — any owning oracle built from
-/// untrusted bytes passes through here. (The zero-copy OracleView instead
-/// bounds-checks these indices per probe; see oracle_view.cc.)
+/// stored values must index into the pair list. MaterializeSeOracle runs it
+/// on every owning oracle built from untrusted bytes. (The zero-copy
+/// OracleView instead bounds-checks these indices per probe; see
+/// oracle_view.cc.)
 Status ValidateHashRaw(const PerfectHash::Raw& raw, uint64_t num_pairs) {
   if (raw.num_keys > 0) {
     if (raw.num_buckets == 0 ||
@@ -92,170 +83,6 @@ Status ValidateHashRaw(const PerfectHash::Raw& raw, uint64_t num_pairs) {
 }
 
 }  // namespace
-
-std::string SerializeSeOracle(const SeOracle& oracle) {
-  BinaryWriter w;
-  w.PutU32(kMagic);
-  w.PutU32(kVersion);
-  w.PutDouble(oracle.epsilon());
-
-  // POIs.
-  const auto& pois = oracle.pois();
-  w.PutVarint64(pois.size());
-  for (const SurfacePoint& p : pois) {
-    w.PutU32(p.face);
-    w.PutU32(p.vertex);
-    w.PutDouble(p.pos.x);
-    w.PutDouble(p.pos.y);
-    w.PutDouble(p.pos.z);
-  }
-
-  // Compressed tree.
-  const CompressedTree& tree = oracle.tree();
-  w.PutU32(tree.root());
-  w.PutU32(static_cast<uint32_t>(tree.height()));
-  w.PutVarint64(tree.num_nodes());
-  for (const auto& node : tree.nodes()) {
-    w.PutU32(node.center);
-    w.PutDouble(node.radius);
-    w.PutU32(static_cast<uint32_t>(node.layer));
-    w.PutU32(node.parent);
-    w.PutU32(node.first_child);
-    w.PutU32(node.next_sibling);
-    w.PutU32(node.num_children);
-  }
-  w.PutVarint64(pois.size());
-  for (uint32_t p = 0; p < pois.size(); ++p) {
-    w.PutU32(tree.leaf_of_poi(p));
-  }
-
-  // Node pairs.
-  const NodePairSet& pairs = oracle.pair_set();
-  w.PutVarint64(pairs.size());
-  for (const NodePair& pair : pairs.pairs()) {
-    w.PutU32(pair.a);
-    w.PutU32(pair.b);
-    w.PutDouble(pair.distance);
-  }
-
-  // Perfect hash raw tables.
-  const PerfectHash::Raw& raw = pairs.hash().raw();
-  w.PutU64(raw.mul1);
-  w.PutU32(raw.num_buckets);
-  w.PutU64(raw.num_keys);
-  w.PutPodVector(raw.bucket_mul);
-  w.PutPodVector(raw.bucket_offset);
-  w.PutPodVector(raw.slot_key);
-  w.PutPodVector(raw.slot_value);
-  w.PutPodVector(raw.slot_used);
-  return w.Release();
-}
-
-StatusOr<SeOracle> DeserializeSeOracle(std::string_view blob) {
-  BinaryReader r(blob);
-  uint32_t magic = 0, version = 0;
-  TSO_RETURN_IF_ERROR(r.GetU32(&magic));
-  if (magic != kMagic) return Status::InvalidArgument("bad magic");
-  TSO_RETURN_IF_ERROR(r.GetU32(&version));
-  if (version != kVersion) return Status::InvalidArgument("bad version");
-  double epsilon = 0.0;
-  TSO_RETURN_IF_ERROR(r.GetDouble(&epsilon));
-
-  uint64_t n = 0;
-  TSO_RETURN_IF_ERROR(r.GetVarint64(&n));
-  if (n > blob.size()) return Status::InvalidArgument("poi count");
-  std::vector<SurfacePoint> pois(n);
-  for (auto& p : pois) {
-    TSO_RETURN_IF_ERROR(r.GetU32(&p.face));
-    TSO_RETURN_IF_ERROR(r.GetU32(&p.vertex));
-    TSO_RETURN_IF_ERROR(r.GetDouble(&p.pos.x));
-    TSO_RETURN_IF_ERROR(r.GetDouble(&p.pos.y));
-    TSO_RETURN_IF_ERROR(r.GetDouble(&p.pos.z));
-  }
-
-  CompressedTree tree;
-  uint32_t root = 0, height = 0;
-  TSO_RETURN_IF_ERROR(r.GetU32(&root));
-  TSO_RETURN_IF_ERROR(r.GetU32(&height));
-  uint64_t num_nodes = 0;
-  TSO_RETURN_IF_ERROR(r.GetVarint64(&num_nodes));
-  if (num_nodes > 2 * n + 1) return Status::InvalidArgument("node count");
-  if (root >= num_nodes || height > 64) {
-    return Status::InvalidArgument("tree root/height out of range");
-  }
-  tree.mutable_nodes().resize(num_nodes);
-  for (auto& node : tree.mutable_nodes()) {
-    uint32_t layer = 0;
-    TSO_RETURN_IF_ERROR(r.GetU32(&node.center));
-    TSO_RETURN_IF_ERROR(r.GetDouble(&node.radius));
-    TSO_RETURN_IF_ERROR(r.GetU32(&layer));
-    node.layer = static_cast<int32_t>(layer);
-    TSO_RETURN_IF_ERROR(r.GetU32(&node.parent));
-    TSO_RETURN_IF_ERROR(r.GetU32(&node.first_child));
-    TSO_RETURN_IF_ERROR(r.GetU32(&node.next_sibling));
-    TSO_RETURN_IF_ERROR(r.GetU32(&node.num_children));
-    // Structural validation: every link in range, layers within [0, height].
-    if (node.center >= n || layer > height) {
-      return Status::InvalidArgument("tree node fields out of range");
-    }
-    for (uint32_t link : {node.parent, node.first_child, node.next_sibling}) {
-      if (link != kInvalidId && link >= num_nodes) {
-        return Status::InvalidArgument("tree link out of range");
-      }
-    }
-  }
-  // Acyclicity: parents must live on strictly higher layers, so any parent
-  // walk terminates within height+1 steps.
-  for (const auto& node : tree.mutable_nodes()) {
-    if (node.parent != kInvalidId &&
-        tree.mutable_nodes()[node.parent].layer >= node.layer) {
-      return Status::InvalidArgument("tree parent layer not decreasing");
-    }
-  }
-  // Child chains must be exact and acyclic so tree traversals terminate.
-  TSO_RETURN_IF_ERROR(ValidateTreeChildLists(tree.mutable_nodes()));
-  tree.set_root(root);
-  tree.set_height(static_cast<int>(height));
-  uint64_t n_leaf = 0;
-  TSO_RETURN_IF_ERROR(r.GetVarint64(&n_leaf));
-  if (n_leaf != n) return Status::InvalidArgument("leaf map size");
-  tree.mutable_leaf_of_poi().resize(n_leaf);
-  for (auto& leaf : tree.mutable_leaf_of_poi()) {
-    TSO_RETURN_IF_ERROR(r.GetU32(&leaf));
-    if (leaf >= num_nodes) return Status::InvalidArgument("leaf id range");
-  }
-
-  uint64_t num_pairs = 0;
-  TSO_RETURN_IF_ERROR(r.GetVarint64(&num_pairs));
-  if (num_pairs > blob.size()) return Status::InvalidArgument("pair count");
-  std::vector<NodePair> pairs(num_pairs);
-  for (auto& pair : pairs) {
-    TSO_RETURN_IF_ERROR(r.GetU32(&pair.a));
-    TSO_RETURN_IF_ERROR(r.GetU32(&pair.b));
-    TSO_RETURN_IF_ERROR(r.GetDouble(&pair.distance));
-    if (pair.a >= num_nodes || pair.b >= num_nodes) {
-      return Status::InvalidArgument("pair node id range");
-    }
-  }
-
-  PerfectHash::Raw raw;
-  TSO_RETURN_IF_ERROR(r.GetU64(&raw.mul1));
-  TSO_RETURN_IF_ERROR(r.GetU32(&raw.num_buckets));
-  TSO_RETURN_IF_ERROR(r.GetU64(&raw.num_keys));
-  TSO_RETURN_IF_ERROR(r.GetPodVector(&raw.bucket_mul));
-  TSO_RETURN_IF_ERROR(r.GetPodVector(&raw.bucket_offset));
-  TSO_RETURN_IF_ERROR(r.GetPodVector(&raw.slot_key));
-  TSO_RETURN_IF_ERROR(r.GetPodVector(&raw.slot_value));
-  TSO_RETURN_IF_ERROR(r.GetPodVector(&raw.slot_used));
-  TSO_RETURN_IF_ERROR(ValidateHashRaw(raw, num_pairs));
-
-  if (!r.AtEnd()) return Status::InvalidArgument("trailing bytes");
-
-  NodePairSet pair_set = NodePairSet::FromParts(
-      std::move(pairs), PerfectHash::FromRaw(std::move(raw)));
-  return SeOracle::FromParts(epsilon, std::move(pois), std::move(tree),
-                             std::move(pair_set));
-}
 
 std::string SerializeSeOracleFlat(const SeOracle& oracle) {
   return SerializeSeOracleFlat(oracle.epsilon(), oracle.pois(), oracle.tree(),
@@ -397,7 +224,7 @@ StatusOr<SeOracle> MaterializeSeOracle(std::string_view flat_blob) {
   std::vector<NodePair> pair_vec(view->pair_set().pairs().begin(),
                                  view->pair_set().pairs().end());
   // The view defers deep hash/pair validation to per-probe guards; an
-  // owning oracle gets the full legacy-grade scan instead.
+  // owning oracle gets the full scan instead.
   TSO_RETURN_IF_ERROR(ValidateHashRaw(raw, pair_vec.size()));
   for (const NodePair& pair : pair_vec) {
     if (pair.a >= tree.num_nodes() || pair.b >= tree.num_nodes()) {
@@ -410,21 +237,20 @@ StatusOr<SeOracle> MaterializeSeOracle(std::string_view flat_blob) {
                              std::move(pair_set));
 }
 
-Status SaveSeOracle(const SeOracle& oracle, const std::string& path) {
-  TSO_FAILPOINT("legacy.write");
-  return WriteStringToFile(SerializeSeOracle(oracle), path);
-}
-
 Status SaveSeOracleFlat(const SeOracle& oracle, const std::string& path) {
   TSO_FAILPOINT("flat.write.section");
-  return WriteStringToFile(SerializeSeOracleFlat(oracle), path);
+  // Crash-safe publication: a killed builder never leaves a torn artifact
+  // visible at `path` (see base/atomic_file.h).
+  return WriteFileAtomic(path, SerializeSeOracleFlat(oracle));
 }
 
 StatusOr<SeOracle> LoadSeOracle(const std::string& path) {
   std::string blob;
   TSO_RETURN_IF_ERROR(ReadFileToString(path, &blob));
-  if (LooksLikeFlatOracle(blob)) return MaterializeSeOracle(blob);
-  return DeserializeSeOracle(blob);
+  if (!LooksLikeFlatOracle(blob)) {
+    return Status::InvalidArgument(path + ": not a TSOFLAT oracle file");
+  }
+  return MaterializeSeOracle(blob);
 }
 
 }  // namespace tso

@@ -9,27 +9,10 @@
 
 namespace tso {
 
-// ---------------------------------------------------------------------------
-// Legacy stream format ("SEOR"): varint-framed field-by-field encoding,
-// fully deserialized into an owning SeOracle on load.
-// ---------------------------------------------------------------------------
-
-/// Serializes an SE oracle to a compact binary blob. The blob contains
-/// everything needed to answer queries (compressed tree, node pair set,
-/// perfect hash, POI coordinates) — no mesh or solver required on load.
-std::string SerializeSeOracle(const SeOracle& oracle);
-
-/// Reconstructs an oracle from SerializeSeOracle output. Fails cleanly on
-/// truncated or corrupt input. The blob is only read, never copied — the
-/// view must stay valid for the duration of the call.
-StatusOr<SeOracle> DeserializeSeOracle(std::string_view blob);
-
-// ---------------------------------------------------------------------------
-// Flat format ("TSOFLAT"): sectioned, checksummed, mmap-able layout
-// (oracle/flat_format.h, docs/oracle-format.md). Serve it zero-copy through
-// OracleView, or materialize an owning SeOracle when mutation-adjacent APIs
-// (e.g. the dynamic oracle's base) need one.
-// ---------------------------------------------------------------------------
+// The on-disk oracle format ("TSOFLAT"): sectioned, checksummed, mmap-able
+// layout (oracle/flat_format.h, docs/oracle-format.md). Serve it zero-copy
+// through OracleView, or materialize an owning SeOracle when an API (e.g.
+// the pack writer) needs one.
 
 /// Serializes an SE oracle into the flat format. Deterministic: the same
 /// oracle always produces byte-identical output (the format-stability CI
@@ -46,18 +29,16 @@ std::string SerializeSeOracleFlat(double epsilon,
                                   const NodePairSet& pairs);
 
 /// Copies a flat buffer's sections into an owning SeOracle (the inverse of
-/// SerializeSeOracleFlat; validation matches OracleView::FromBuffer).
+/// SerializeSeOracleFlat). Validation is OracleView::FromBuffer's with
+/// checksums on, plus a full scan of the hash tables and pair ids: this is
+/// the only owning ingest of untrusted bytes.
 StatusOr<SeOracle> MaterializeSeOracle(std::string_view flat_blob);
 
-// ---------------------------------------------------------------------------
-// File round-trips.
-// ---------------------------------------------------------------------------
-
-Status SaveSeOracle(const SeOracle& oracle, const std::string& path);
+/// Writes SerializeSeOracleFlat output to `path` crash-safely.
 Status SaveSeOracleFlat(const SeOracle& oracle, const std::string& path);
 
-/// Loads either format into an owning SeOracle: flat files (detected by
-/// magic) are materialized, legacy streams deserialized.
+/// Reads a flat oracle file and materializes it. A file without the
+/// TSOFLAT magic is rejected with InvalidArgument.
 StatusOr<SeOracle> LoadSeOracle(const std::string& path);
 
 }  // namespace tso

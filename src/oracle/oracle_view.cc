@@ -68,7 +68,7 @@ Status VerifySectionChecksums(const FlatReader& reader,
 
 /// Structural validation of the mapped content: after this passes, every
 /// index a query can follow stays in bounds, and every parent walk
-/// terminates. Deliberately cheaper than the legacy deserializer's full
+/// terminates. Deliberately cheaper than MaterializeSeOracle's full
 /// content scan: only the tree sections (O(n) with n = POIs, the small part
 /// of the file) are walked, because the tree traversal dereferences their
 /// links unguarded on the hot path. The big sections — node pairs and the

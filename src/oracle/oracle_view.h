@@ -126,7 +126,7 @@ struct FlatFileInfo {
 StatusOr<FlatFileInfo> ReadFlatFileInfo(std::string_view buffer);
 
 /// True iff `buffer` starts with the flat-format magic (cheap format sniff
-/// for loaders that also accept the legacy stream).
+/// for verbs that accept either a flat oracle or a pack).
 bool LooksLikeFlatOracle(std::string_view buffer);
 
 }  // namespace tso

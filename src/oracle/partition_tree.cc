@@ -9,7 +9,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "base/bptree.h"
 #include "base/logging.h"
 #include "base/timer.h"
 
@@ -127,8 +126,8 @@ std::vector<std::vector<uint32_t>> XyClusteredBatches(
 namespace {
 
 /// The greedy selection structure of Implementation Detail 1: uncovered POIs
-/// bucketed into cells of width O(r_i), each cell's ids indexed in a
-/// B+-tree, and a lazy max-heap over cell occupancy.
+/// bucketed into cells of width O(r_i), each cell's ids kept in a sorted
+/// vector, and a lazy max-heap over cell occupancy.
 class GreedyPicker {
  public:
   GreedyPicker(const std::vector<SurfacePoint>& pois,
@@ -136,11 +135,10 @@ class GreedyPicker {
       : pois_(pois), cell_(std::max(cell_width, 1e-9)) {
     for (uint32_t i = 0; i < pois.size(); ++i) {
       if (covered[i]) continue;
-      const uint64_t key = CellKey(i);
-      cells_[key].Insert(i, 1);
+      cells_[CellKey(i)].push_back(i);  // ascending ids: cells stay sorted
     }
-    for (auto& [key, tree] : cells_) {
-      heap_.push({tree.size(), key});
+    for (auto& [key, ids] : cells_) {
+      heap_.push({ids.size(), key});
     }
   }
 
@@ -149,8 +147,11 @@ class GreedyPicker {
     const uint64_t key = CellKey(poi);
     auto it = cells_.find(key);
     if (it == cells_.end()) return;
-    if (it->second.Erase(poi)) {
-      heap_.push({it->second.size(), key});
+    std::vector<uint32_t>& ids = it->second;
+    auto pos = std::lower_bound(ids.begin(), ids.end(), poi);
+    if (pos != ids.end() && *pos == poi) {
+      ids.erase(pos);
+      heap_.push({ids.size(), key});
     }
   }
 
@@ -164,13 +165,7 @@ class GreedyPicker {
         heap_.pop();  // stale entry
         continue;
       }
-      const size_t target = rng.Uniform(count);
-      size_t seen = 0;
-      uint32_t picked = kInvalidId;
-      it->second.ForEach([&](uint32_t id, uint8_t) {
-        if (seen++ == target) picked = id;
-      });
-      return picked;
+      return it->second[rng.Uniform(count)];
     }
     return kInvalidId;
   }
@@ -186,7 +181,7 @@ class GreedyPicker {
 
   const std::vector<SurfacePoint>& pois_;
   double cell_;
-  std::unordered_map<uint64_t, BPlusTree<uint32_t, uint8_t>> cells_;
+  std::unordered_map<uint64_t, std::vector<uint32_t>> cells_;
   std::priority_queue<std::pair<size_t, uint64_t>> heap_;
 };
 

@@ -46,7 +46,7 @@ std::vector<std::vector<uint32_t>> XyClusteredBatches(
 /// Point-selection strategies of §3.2 Implementation Detail 1.
 enum class SelectionStrategy {
   kRandom,  // SE(Random): uniform pick from the uncovered set
-  kGreedy,  // SE(Greedy): pick from the densest grid cell (B+-tree indexed)
+  kGreedy,  // SE(Greedy): pick from the densest grid cell
 };
 
 const char* SelectionStrategyName(SelectionStrategy s);

@@ -8,8 +8,6 @@
 // A partially-visible file at the destination is the failure this harness
 // exists to catch.
 
-#ifndef _WIN32
-
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -176,28 +174,5 @@ TEST(CrashHarness, OraclePackSurvivesCrashAtEveryStage) {
       });
 }
 
-// The legacy stream format publishes through the same atomic writer; one
-// representative stage proves the seam is wired.
-TEST(CrashHarness, LegacyOracleSurvivesCrashMidWrite) {
-  CrashFixture& fx = Fixture();
-  const std::string path = ::testing::TempDir() + "/crash_legacy.seor";
-  const std::string old_bytes = SerializeSeOracle(*fx.oracle_a);
-  ASSERT_TRUE(WriteFileAtomic(path, old_bytes).ok());
-
-  CrashChildAt("legacy.write",
-               [&]() { return SaveSeOracle(*fx.oracle_b, path); });
-  EXPECT_EQ(ReadAll(path), old_bytes);
-  EXPECT_TRUE(LoadSeOracle(path).ok());
-
-  CrashChildAt("atomicfile.fsync",
-               [&]() { return SaveSeOracle(*fx.oracle_b, path); });
-  EXPECT_EQ(ReadAll(path), old_bytes);
-  EXPECT_TRUE(LoadSeOracle(path).ok());
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
-}
-
 }  // namespace
 }  // namespace tso
-
-#endif  // !_WIN32

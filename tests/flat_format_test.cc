@@ -163,7 +163,7 @@ TEST(FlatFormat, MaterializeRoundTripsByteIdentically) {
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(SerializeSeOracleFlat(*back), fx.blob);
   EXPECT_EQ(*back->Distance(2, 7), *fx.oracle->Distance(2, 7));
-  // The legacy loader auto-detects flat files.
+  // LoadSeOracle reads and materializes a saved flat file.
   const std::string path = testing::TempDir() + "/oracle_auto.tso";
   ASSERT_TRUE(SaveSeOracleFlat(*fx.oracle, path).ok());
   StatusOr<SeOracle> loaded = LoadSeOracle(path);
@@ -271,12 +271,7 @@ TEST(FlatFormat, SiblingCycleRejectedWithoutChecksums) {
   OracleView::Options no_verify;
   no_verify.verify_checksums = false;
   EXPECT_FALSE(OracleView::FromBuffer(corrupt, no_verify).ok());
-  // The legacy deserializer runs the same ValidateTreeChildLists; sanity-
-  // check that the uncorrupted blob still passes both loaders.
   EXPECT_TRUE(OracleView::FromBuffer(fx.blob, no_verify).ok());
-  StatusOr<SeOracle> legacy =
-      DeserializeSeOracle(SerializeSeOracle(*fx.oracle));
-  ASSERT_TRUE(legacy.ok());
 }
 
 TEST(FlatFormat, HeaderCorruptionRejected) {
@@ -307,32 +302,20 @@ TEST(FlatFormat, HeaderCorruptionRejected) {
   }
 }
 
-// --- Legacy-format corruption parity -------------------------------------
-
-TEST(FlatFormat, LegacyLoaderSurvivesSameCorruptionSuite) {
-  FlatFixture& fx = Fixture();
-  const std::string blob = SerializeSeOracle(*fx.oracle);
-  // Truncations at a dense set of offsets (the legacy stream has no section
-  // table; cover the whole framing).
-  for (size_t cut = 0; cut < blob.size();
-       cut = cut < 64 ? cut + 1 : cut + 61) {
-    EXPECT_FALSE(DeserializeSeOracle(blob.substr(0, cut)).ok())
-        << "cut=" << cut;
-  }
-  // Byte flips: must never crash; a load that slips past validation (the
-  // legacy stream has no checksums) must still answer queries memory-safely.
-  const uint32_t n = static_cast<uint32_t>(fx.oracle->num_pois());
-  for (size_t pos = 0; pos < blob.size(); pos += 97) {
-    std::string corrupt = blob;
-    corrupt[pos] ^= 0x55;
-    StatusOr<SeOracle> loaded = DeserializeSeOracle(corrupt);
-    if (!loaded.ok()) continue;
-    QueryScratch scratch;
-    for (uint32_t s = 0; s < n; s += 7) {
-      for (uint32_t t = 0; t < n; t += 5) {
-        (void)loaded->Distance(s, t, scratch);
-      }
+TEST(FlatFormat, LoadRejectsNonOracleFile) {
+  // Any file without the TSOFLAT magic is a clean InvalidArgument, whatever
+  // its length: shorter than a magic, or a full header's worth of text.
+  for (const std::string& bytes :
+       {std::string(), std::string("abc"), std::string(4096, 'x')}) {
+    const std::string path = testing::TempDir() + "/not_an_oracle.bin";
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << bytes;
     }
+    StatusOr<SeOracle> loaded = LoadSeOracle(path);
+    ASSERT_FALSE(loaded.ok()) << bytes.size();
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
   }
 }
 

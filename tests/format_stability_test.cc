@@ -1,16 +1,14 @@
-// Format-stability gate: the on-disk oracle formats are frozen contracts.
+// Format-stability gate: the on-disk oracle format is a frozen contract.
 // Golden files (tests/golden/) are loaded and re-serialized; any byte
 // difference means the format changed and kFlatFormatVersion /
-// kFlatFormatMinorVersion (or the legacy version) must be bumped and the
-// goldens regenerated. Loading + re-serializing involves no floating-point
+// kFlatFormatMinorVersion must be bumped and the goldens regenerated. Loading + re-serializing involves no floating-point
 // computation, so these comparisons are exact on every platform. The CI
 // `format-stability` job runs this suite as a blocking gate.
 //
 // Two flat goldens are checked in:
 //   oracle-v1.tsoflat    minor 0 (10 sections, no ancestor table) —
 //     generated once with `tso build-oracle --dataset sf-small
-//     --vertices 150 --pois 12 --solver dijkstra --epsilon 0.25 --seed 7
-//     --format flat`
+//     --vertices 150 --pois 12 --solver dijkstra --epsilon 0.25 --seed 7`
 //     It is the backward-compatibility gate: current readers must keep
 //     opening and answering from it forever (within major version 1).
 //   oracle-v1.1.tsoflat  minor 1 (11 sections, + ancestors) — the same
@@ -47,9 +45,6 @@ std::string GoldenFlatMinor0() {
 }
 std::string GoldenFlatMinor1() {
   return ReadFile(std::string(TSO_GOLDEN_DIR) + "/oracle-v1.1.tsoflat");
-}
-std::string GoldenLegacy() {
-  return ReadFile(std::string(TSO_GOLDEN_DIR) + "/oracle-v1.seor");
 }
 
 void ExpectGoldenShape(const OracleView& view) {
@@ -109,27 +104,16 @@ TEST(FormatStability, CurrentWriterMatchesMinor1GoldenByteForByte) {
   }
 }
 
-TEST(FormatStability, GoldenLegacyRoundTripsByteIdentically) {
-  const std::string blob = GoldenLegacy();
-  ASSERT_FALSE(blob.empty());
-  StatusOr<SeOracle> oracle = DeserializeSeOracle(blob);
-  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-  EXPECT_EQ(SerializeSeOracle(*oracle), blob)
-      << "legacy format bytes drifted — bump its version and regenerate "
-         "tests/golden/";
-}
-
 TEST(FormatStability, GoldenFormatsAgreeOnEveryQuery) {
-  // All three golden files hold the same oracle: both mapped flat minors
-  // (walk path vs ancestor-table path) and the deserialized legacy oracle
-  // must agree bit-for-bit on every distance (queries only read stored
-  // doubles — no FP arithmetic — so exact equality is portable).
+  // Both golden files hold the same oracle: both mapped flat minors (walk
+  // path vs ancestor-table path) and the owning oracle materialized from
+  // minor 1 must agree bit-for-bit on every distance (queries only read
+  // stored doubles — no FP arithmetic — so exact equality is portable).
   const std::string minor0 = GoldenFlatMinor0();
   const std::string minor1 = GoldenFlatMinor1();
-  const std::string legacy = GoldenLegacy();
   StatusOr<OracleView> v0 = OracleView::FromBuffer(minor0);
   StatusOr<OracleView> v1 = OracleView::FromBuffer(minor1);
-  StatusOr<SeOracle> oracle = DeserializeSeOracle(legacy);
+  StatusOr<SeOracle> oracle = MaterializeSeOracle(minor1);
   ASSERT_TRUE(v0.ok() && v1.ok() && oracle.ok());
   ASSERT_EQ(v0->num_pois(), oracle->num_pois());
   ASSERT_EQ(v1->num_pois(), oracle->num_pois());
@@ -163,16 +147,13 @@ TEST(FormatStability, GoldenSpotChecksMatchRecordedValues) {
 
 TEST(FormatStability, FreshBuildSaveLoadSaveIsByteStable) {
   // Independent of which golden seeded it: any oracle serialized,
-  // materialized, and re-serialized must be byte-stable in both formats.
+  // materialized, and re-serialized must be byte-stable.
   const std::string flat = GoldenFlatMinor1();
   StatusOr<SeOracle> oracle = MaterializeSeOracle(flat);
   ASSERT_TRUE(oracle.ok());
-  const std::string legacy_blob = SerializeSeOracle(*oracle);
-  StatusOr<SeOracle> via_legacy = DeserializeSeOracle(legacy_blob);
-  ASSERT_TRUE(via_legacy.ok());
-  // Cross-format: legacy round-trip preserves the flat bytes too.
-  EXPECT_EQ(SerializeSeOracleFlat(*via_legacy), flat);
-  EXPECT_EQ(SerializeSeOracle(*via_legacy), legacy_blob);
+  StatusOr<SeOracle> again = MaterializeSeOracle(SerializeSeOracleFlat(*oracle));
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(SerializeSeOracleFlat(*again), flat);
 }
 
 }  // namespace

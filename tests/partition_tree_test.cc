@@ -156,6 +156,35 @@ TEST(PartitionTree, ParallelSpeculativeBuildIsIdentical) {
   }
 }
 
+TEST(PartitionTree, GreedyBuildMatchesRecordedTree) {
+  // Pins greedy selection output across refactors of its cell index: the
+  // node centers, parents and layers below were recorded from this exact
+  // build, and any change to the pick order shows up as a mismatch.
+  TreeFixture fx(16, 11);
+  Rng rng(21);
+  StatusOr<PartitionTree> tree =
+      PartitionTree::Build(*fx.ds->mesh, fx.ds->pois, *fx.solver,
+                           SelectionStrategy::kGreedy, rng, nullptr);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  const std::vector<uint32_t> centers = {
+      0,  0, 3,  7,  9, 1, 1, 7, 3, 9, 0,  8, 2, 11, 10, 11, 8, 2, 1, 3, 0, 9, 7,
+      10, 12, 13, 14, 6, 4, 4, 6, 13, 1, 0, 3, 12, 8, 9, 14, 7, 2, 10, 11, 15, 5};
+  const std::vector<uint32_t> parents = {
+      kInvalidId, 0, 0, 0, 0, 0, 5, 3, 2, 4, 1, 4, 2, 2, 3, 13, 11, 12, 6, 8,
+      10, 9, 7, 14, 11, 11, 11, 6, 7, 28, 27, 25, 18, 20, 19, 24, 16, 21, 26,
+      22, 17, 23, 15, 18, 18};
+  const std::vector<int> layers = {0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+                                   3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 4,
+                                   4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4};
+  ASSERT_EQ(tree->num_nodes(), centers.size());
+  EXPECT_EQ(tree->height(), 4);
+  for (uint32_t id = 0; id < tree->num_nodes(); ++id) {
+    EXPECT_EQ(tree->node(id).center, centers[id]) << id;
+    EXPECT_EQ(tree->node(id).parent, parents[id]) << id;
+    EXPECT_EQ(tree->node(id).layer, layers[id]) << id;
+  }
+}
+
 TEST(PartitionTree, SinglePoi) {
   TreeFixture fx(1, 15);
   Rng rng(5);

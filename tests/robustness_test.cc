@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/crc32.h"
 #include "base/failpoint.h"
 #include "base/logging.h"
 #include "base/rng.h"
@@ -19,6 +20,7 @@
 #include "net/server.h"
 #include "net/wire.h"
 #include "oracle/oracle_serde.h"
+#include "oracle/oracle_view.h"
 #include "oracle/pack_view.h"
 #include "oracle/se_oracle.h"
 #include "serve/engine.h"
@@ -26,6 +28,25 @@
 
 namespace tso {
 namespace {
+
+/// Recomputes every section CRC and the section-table CRC of a flat blob,
+/// so a corruption inside a section payload gets past the checksum pass and
+/// reaches structural validation. Blobs whose header or section table no
+/// longer parse are left as they are.
+void ResealFlatChecksums(std::string* blob) {
+  StatusOr<FlatFileInfo> info = ReadFlatFileInfo(*blob);
+  if (!info.ok()) return;
+  char* table = blob->data() + sizeof(FlatHeader);
+  for (size_t i = 0; i < info->sections.size(); ++i) {
+    FlatSectionEntry e = info->sections[i];
+    e.crc32 = Crc32(blob->data() + e.offset, e.size);
+    std::memcpy(table + i * sizeof(e), &e, sizeof(e));
+  }
+  FlatHeader header = info->header;
+  header.section_table_crc =
+      Crc32(table, info->sections.size() * sizeof(FlatSectionEntry));
+  std::memcpy(blob->data(), &header, sizeof(header));
+}
 
 TEST(SerdeFuzz, RandomByteFlipsNeverCrash) {
   StatusOr<Dataset> ds =
@@ -37,7 +58,7 @@ TEST(SerdeFuzz, RandomByteFlipsNeverCrash) {
   StatusOr<SeOracle> oracle =
       SeOracle::Build(*ds->mesh, ds->pois, solver, options, nullptr);
   ASSERT_TRUE(oracle.ok());
-  const std::string blob = SerializeSeOracle(*oracle);
+  const std::string blob = SerializeSeOracleFlat(*oracle);
 
   Rng rng(99);
   int accepted = 0;
@@ -45,9 +66,14 @@ TEST(SerdeFuzz, RandomByteFlipsNeverCrash) {
     std::string corrupt = blob;
     const size_t pos = rng.Uniform(corrupt.size());
     corrupt[pos] = static_cast<char>(rng.NextU64());
-    StatusOr<SeOracle> loaded = DeserializeSeOracle(corrupt);
-    // Either a clean error, or — if the flip hit a distance payload or a
-    // redundant byte — a structurally valid oracle. Never a crash.
+    // Odd trials keep the stale checksums (the CRC pass must reject any
+    // changed byte); even trials reseal them so the flip reaches the tree,
+    // pair and perfect-hash validation of the owning ingest.
+    if (trial % 2 == 0) ResealFlatChecksums(&corrupt);
+    StatusOr<SeOracle> loaded = MaterializeSeOracle(corrupt);
+    // Either a clean error, or — if the flip hit a distance payload, an
+    // unused field or alignment padding — a structurally valid oracle.
+    // Never a crash.
     if (loaded.ok()) {
       ++accepted;
       // Structure must still answer in-range queries without aborting.
@@ -69,11 +95,11 @@ TEST(SerdeFuzz, RandomTruncationsNeverCrash) {
   StatusOr<SeOracle> oracle =
       SeOracle::Build(*ds->mesh, ds->pois, solver, options, nullptr);
   ASSERT_TRUE(oracle.ok());
-  const std::string blob = SerializeSeOracle(*oracle);
+  const std::string blob = SerializeSeOracleFlat(*oracle);
   Rng rng(7);
   for (int trial = 0; trial < 100; ++trial) {
     const size_t cut = rng.Uniform(blob.size());
-    EXPECT_FALSE(DeserializeSeOracle(blob.substr(0, cut)).ok());
+    EXPECT_FALSE(MaterializeSeOracle(blob.substr(0, cut)).ok());
   }
 }
 
@@ -549,7 +575,7 @@ TEST(SeOracle, SingletonPoiOracle) {
   EXPECT_EQ(*oracle->Distance(0, 0), 0.0);
   EXPECT_FALSE(oracle->Distance(0, 1).ok());
   // Round-trips too.
-  StatusOr<SeOracle> back = DeserializeSeOracle(SerializeSeOracle(*oracle));
+  StatusOr<SeOracle> back = MaterializeSeOracle(SerializeSeOracleFlat(*oracle));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back->Distance(0, 0), 0.0);
 }

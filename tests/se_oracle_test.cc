@@ -359,8 +359,8 @@ TEST(SeOracleSerde, RoundTripAnswersIdentical) {
   SeOracleOptions options;
   options.epsilon = 0.1;
   SeOracle oracle = fx.BuildOracle(options);
-  const std::string blob = SerializeSeOracle(oracle);
-  StatusOr<SeOracle> back = DeserializeSeOracle(blob);
+  const std::string blob = SerializeSeOracleFlat(oracle);
+  StatusOr<SeOracle> back = MaterializeSeOracle(blob);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->num_pois(), oracle.num_pois());
   EXPECT_EQ(back->epsilon(), oracle.epsilon());
@@ -378,7 +378,7 @@ TEST(SeOracleSerde, FileRoundTrip) {
   SeOracleOptions options;
   SeOracle oracle = fx.BuildOracle(options);
   const std::string path = testing::TempDir() + "/oracle.bin";
-  ASSERT_TRUE(SaveSeOracle(oracle, path).ok());
+  ASSERT_TRUE(SaveSeOracleFlat(oracle, path).ok());
   StatusOr<SeOracle> back = LoadSeOracle(path);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back->Distance(1, 2), *oracle.Distance(1, 2));
@@ -388,17 +388,17 @@ TEST(SeOracleSerde, CorruptInputRejected) {
   OracleFixture fx(8, 73);
   SeOracleOptions options;
   SeOracle oracle = fx.BuildOracle(options);
-  std::string blob = SerializeSeOracle(oracle);
+  std::string blob = SerializeSeOracleFlat(oracle);
   // Bad magic.
   std::string bad = blob;
   bad[0] = 'X';
-  EXPECT_FALSE(DeserializeSeOracle(bad).ok());
+  EXPECT_FALSE(MaterializeSeOracle(bad).ok());
   // Truncations at many offsets must fail, never crash.
   for (size_t cut : {0ul, 1ul, 8ul, blob.size() / 2, blob.size() - 1}) {
-    EXPECT_FALSE(DeserializeSeOracle(blob.substr(0, cut)).ok()) << cut;
+    EXPECT_FALSE(MaterializeSeOracle(blob.substr(0, cut)).ok()) << cut;
   }
   // Trailing garbage.
-  EXPECT_FALSE(DeserializeSeOracle(blob + "zz").ok());
+  EXPECT_FALSE(MaterializeSeOracle(blob + "zz").ok());
 }
 
 }  // namespace

@@ -64,7 +64,6 @@ struct Args {
   std::string mesh_path;
   std::string oracle_path;
   std::string out_path = "oracle.bin";
-  std::string format = "flat";  // build-oracle output: flat | legacy
   std::string solver = "mmp";
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
   double epsilon = 0.25;
@@ -191,13 +190,10 @@ build-oracle options:
                                 (default 4; 1 disables multi-source batching;
                                 clamped to the solver's native limit)
   --seed S                      RNG seed (default 42)
-  --out PATH                    output file (default oracle.bin)
-  --format flat|legacy          on-disk format (default flat: sectioned,
-                                checksummed, mmap-able; legacy: the v1
-                                varint stream)
+  --out PATH                    output flat oracle file (default oracle.bin)
 
 pack options:
-  --oracle PATH                 saved oracle file to reshard (required)
+  --oracle PATH                 saved flat oracle file to reshard (required)
   --out PATH                    output pack file (default oracle.tsop)
   --shards N                    shard count (default 4)
   --policy poi-range|geo        POI-to-shard assignment (default poi-range)
@@ -381,14 +377,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--solver") {
       if (!(v = next())) return false;
       args->solver = v;
-    } else if (flag == "--format") {
-      if (!(v = next())) return false;
-      args->format = v;
-      if (args->format != "flat" && args->format != "legacy") {
-        std::fprintf(stderr,
-                     "tso: bad --format '%s' (expected flat|legacy)\n", v);
-        return false;
-      }
     } else if (flag == "--epsilon") {
       if (!(v = next())) return false;
       if (!ParseDoubleFlag(flag, v, &args->epsilon)) return false;
@@ -534,16 +522,34 @@ int CmdBuildOracle(const Args& args) {
                 stats.tree_speculative_ssads, stats.tree_wasted_ssads);
   }
 
-  Status saved = args.format == "legacy"
-                     ? SaveSeOracle(*oracle, args.out_path)
-                     : SaveSeOracleFlat(*oracle, args.out_path);
+  Status saved = SaveSeOracleFlat(*oracle, args.out_path);
   if (!saved.ok()) {
     std::fprintf(stderr, "tso: save: %s\n", saved.ToString().c_str());
     return 1;
   }
-  std::printf("saved to %s (%s format)\n", args.out_path.c_str(),
-              args.format.c_str());
+  std::printf("saved to %s (flat format)\n", args.out_path.c_str());
   return 0;
+}
+
+/// The one rejection every verb prints for a file that is neither format.
+Status NotAnOracleFile(const std::string& path) {
+  return Status::InvalidArgument(
+      path + ": not an oracle file (expected TSOFLAT or TSOPACK magic)");
+}
+
+/// Sniffs the leading magic so each verb picks its reader (both magics are
+/// sizeof(kFlatMagic) bytes); any other file is rejected here.
+enum class FileKind { kFlat, kPack };
+StatusOr<FileKind> SniffFileKind(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return Status::IoError("cannot open " + path);
+  char magic[sizeof(kFlatMagic)] = {};
+  const size_t got = std::fread(magic, 1, sizeof(magic), f);
+  std::fclose(f);
+  const std::string_view head(magic, got);
+  if (LooksLikeFlatOracle(head)) return FileKind::kFlat;
+  if (LooksLikeOraclePack(head)) return FileKind::kPack;
+  return NotAnOracleFile(path);
 }
 
 int CmdPack(const Args& args) {
@@ -551,9 +557,14 @@ int CmdPack(const Args& args) {
     std::fprintf(stderr, "tso: pack requires --oracle PATH\n");
     return 1;
   }
-  // Materialize the source oracle (either on-disk format), reshard its
-  // node-pair set, and write the pack. Answers are bit-identical to the
-  // input for any shard count, so this is purely an operational reshaping.
+  // Materialize the source flat oracle, reshard its node-pair set, and
+  // write the pack. Answers are bit-identical to the input for any shard
+  // count, so this is purely an operational reshaping.
+  StatusOr<FileKind> kind = SniffFileKind(args.oracle_path);
+  if (!kind.ok()) {
+    std::fprintf(stderr, "tso: %s\n", kind.status().ToString().c_str());
+    return 1;
+  }
   StatusOr<SeOracle> oracle = LoadSeOracle(args.oracle_path);
   if (!oracle.ok()) {
     std::fprintf(stderr, "tso: load: %s\n", oracle.status().ToString().c_str());
@@ -596,28 +607,12 @@ uint64_t SectionAlignment(uint64_t offset) {
   return a > 4096 ? 4096 : a;
 }
 
-/// Sniffs the leading magic so query/serve-bench can report which mapped
-/// representation they serve (both magics are sizeof(kFlatMagic) bytes).
-enum class FileKind { kFlat, kPack, kOther };
-StatusOr<FileKind> SniffFileKind(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IoError("cannot open " + path);
-  char magic[sizeof(kFlatMagic)] = {};
-  const size_t got = std::fread(magic, 1, sizeof(magic), f);
-  std::fclose(f);
-  const std::string_view head(magic, got);
-  if (LooksLikeFlatOracle(head)) return FileKind::kFlat;
-  if (LooksLikeOraclePack(head)) return FileKind::kPack;
-  return FileKind::kOther;
-}
-
 /// The dynamic layer mounted over a saved file plus whatever backing
 /// representation must stay alive for it (FromSource does not own its base).
 /// File mounts carry no mesh or geodesic solver, so they are remove-only:
 /// tombstones and compact-free queries work, inserts do not.
 struct DynamicMount {
-  std::optional<PackView> pack;   // keep-alive: FromSource(pack)
-  std::optional<SeOracle> legacy; // keep-alive: FromSource(legacy)
+  std::optional<PackView> pack;  // keep-alive: FromSource(pack)
   std::unique_ptr<DynamicSeOracle> dyn;
   const char* base_kind = "";
 };
@@ -629,37 +624,22 @@ StatusOr<DynamicMount> MountDynamic(const std::string& path) {
   DynamicOracleOptions options;
   if (*kind == FileKind::kFlat) {
     StatusOr<OracleView> view = OracleView::Open(path);
-    if (view.ok()) {
-      StatusOr<std::unique_ptr<DynamicSeOracle>> dyn = DynamicSeOracle::
-          FromView(*std::move(view), nullptr, nullptr, options);
-      if (!dyn.ok()) return dyn.status();
-      mount.dyn = std::move(*dyn);
-      mount.base_kind = "mapped flat oracle";
-      return mount;
-    }
-    if (view.status().code() != StatusCode::kUnimplemented) {
-      return view.status();
-    }
-    // No mmap on this platform: fall through to the in-memory loader.
-  } else if (*kind == FileKind::kPack) {
-    StatusOr<PackView> pack = PackView::Open(path);
-    if (!pack.ok()) return pack.status();
-    mount.pack.emplace(*std::move(pack));
+    if (!view.ok()) return view.status();
     StatusOr<std::unique_ptr<DynamicSeOracle>> dyn = DynamicSeOracle::
-        FromSource(MakeSource(*mount.pack), nullptr, nullptr, options);
+        FromView(*std::move(view), nullptr, nullptr, options);
     if (!dyn.ok()) return dyn.status();
     mount.dyn = std::move(*dyn);
-    mount.base_kind = "mapped oracle pack";
+    mount.base_kind = "mapped flat oracle";
     return mount;
   }
-  StatusOr<SeOracle> oracle = LoadSeOracle(path);
-  if (!oracle.ok()) return oracle.status();
-  mount.legacy.emplace(*std::move(oracle));
+  StatusOr<PackView> pack = PackView::Open(path);
+  if (!pack.ok()) return pack.status();
+  mount.pack.emplace(*std::move(pack));
   StatusOr<std::unique_ptr<DynamicSeOracle>> dyn = DynamicSeOracle::
-      FromSource(MakeSource(*mount.legacy), nullptr, nullptr, options);
+      FromSource(MakeSource(*mount.pack), nullptr, nullptr, options);
   if (!dyn.ok()) return dyn.status();
   mount.dyn = std::move(*dyn);
-  mount.base_kind = "deserialized oracle";
+  mount.base_kind = "mapped oracle pack";
   return mount;
 }
 
@@ -752,8 +732,8 @@ int CmdQueryDynamic(const Args& args) {
   return 0;
 }
 
-/// Answers the query list against either representation (SeOracle or
-/// OracleView expose the same surface).
+/// Answers the query list against either mapped representation (OracleView
+/// and PackView expose the same surface).
 template <typename Oracle>
 int RunQueryPairs(const Args& args, const Oracle& oracle) {
   std::vector<std::pair<uint32_t, uint32_t>> pairs = args.pairs;
@@ -806,34 +786,18 @@ int CmdQuery(const Args& args) {
         pack->epsilon(), pack->SizeBytes() / 1024.0);
     return RunQueryPairs(args, *pack);
   }
-  if (*kind == FileKind::kFlat) {
-    // Zero-copy serving: queries read the mapped file in place.
-    StatusOr<OracleView> view = OracleView::Open(args.oracle_path);
-    if (view.ok()) {
-      std::printf(
-          "mapped oracle (zero-copy): n=%zu POIs eps=%.3g height=%d "
-          "(%.1f KiB shared read-only)\n",
-          view->num_pois(), view->epsilon(), view->height(),
-          view->SizeBytes() / 1024.0);
-      return RunQueryPairs(args, *view);
-    }
-    if (view.status().code() != StatusCode::kUnimplemented) {
-      std::fprintf(stderr, "tso: open: %s\n",
-                   view.status().ToString().c_str());
-      return 1;
-    }
-    // No mmap on this platform: fall through to the in-memory loader,
-    // which materializes flat files too.
-  }
-  StatusOr<SeOracle> oracle = LoadSeOracle(args.oracle_path);
-  if (!oracle.ok()) {
-    std::fprintf(stderr, "tso: load: %s\n", oracle.status().ToString().c_str());
+  // Zero-copy serving: queries read the mapped file in place.
+  StatusOr<OracleView> view = OracleView::Open(args.oracle_path);
+  if (!view.ok()) {
+    std::fprintf(stderr, "tso: open: %s\n", view.status().ToString().c_str());
     return 1;
   }
-  std::printf("loaded oracle (legacy deserialize): n=%zu POIs eps=%.3g "
-              "height=%d\n",
-              oracle->num_pois(), oracle->epsilon(), oracle->height());
-  return RunQueryPairs(args, *oracle);
+  std::printf(
+      "mapped oracle (zero-copy): n=%zu POIs eps=%.3g height=%d "
+      "(%.1f KiB shared read-only)\n",
+      view->num_pois(), view->epsilon(), view->height(),
+      view->SizeBytes() / 1024.0);
+  return RunQueryPairs(args, *view);
 }
 
 void PrintEngineCounters(const ServeEngine::Stats& stats) {
@@ -1674,8 +1638,8 @@ int InspectPack(const std::string& path, const std::string& bytes,
 }
 
 int InspectFile(const Args& args) {
-  // Inspection reads the bytes through the portable buffered path (works on
-  // platforms without mmap); serving uses OracleView::Open instead.
+  // Inspection reads the whole file so it can checksum every section;
+  // serving maps it through OracleView::Open instead.
   std::ifstream in(args.oracle_path, std::ios::binary);
   if (!in) {
     std::fprintf(stderr, "tso: cannot open %s\n", args.oracle_path.c_str());
@@ -1688,20 +1652,9 @@ int InspectFile(const Args& args) {
     return InspectPack(args.oracle_path, bytes, args.deep);
   }
   if (!LooksLikeFlatOracle(bytes)) {
-    StatusOr<SeOracle> oracle = DeserializeSeOracle(bytes);
-    if (!oracle.ok()) {
-      std::fprintf(stderr, "tso: not a flat oracle, and legacy load failed: "
-                   "%s\n", oracle.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("%s: legacy stream format (\"SEOR\" v1), %zu bytes\n",
-                args.oracle_path.c_str(), bytes.size());
-    std::printf("  n=%zu POIs eps=%.3g height=%d node_pairs=%zu\n",
-                oracle->num_pois(), oracle->epsilon(), oracle->height(),
-                oracle->pair_set().size());
-    std::printf("  hint: convert to the mmap-able flat format with\n"
-                "    tso build-oracle ... --format flat\n");
-    return 0;
+    std::fprintf(stderr, "tso: %s\n",
+                 NotAnOracleFile(args.oracle_path).ToString().c_str());
+    return 1;
   }
 
   StatusOr<FlatFileInfo> info = ReadFlatFileInfo(bytes);
