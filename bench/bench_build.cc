@@ -1,6 +1,7 @@
 // Construction-performance baseline: per-phase wall-clock of
-// SeOracle::Build, SSAD-kernel heap-op totals, 1-vs-T thread scaling, and
-// the multi-source SSAD batch dimension of the enhanced-edge phase. Not a
+// SeOracle::Build, SSAD-kernel heap-op totals, 1-vs-T thread scaling, the
+// multi-source SSAD batch dimension of the enhanced-edge phase, and the
+// exact MMP solver's build at 1 and 4 threads. Not a
 // paper figure — this bench backs the build pipeline (partition tree,
 // enhanced edges, WSPD node pairs) the way bench_throughput backs the query
 // stack, and CI gates on its output (see tools/bench_compare.py and
@@ -30,25 +31,31 @@ struct BuildMeasurement {
   size_t size_bytes = 0;
 };
 
-void EmitPhase(const char* solver, uint32_t threads, uint32_t batch,
-               const char* phase, double seconds, size_t ssad_runs) {
-  BenchJson("build")
-      .Str("solver", solver)
+BenchJson PhaseLine(const char* solver, uint32_t threads, uint32_t batch,
+                    const char* phase, double seconds, size_t ssad_runs) {
+  BenchJson line("build");
+  line.Str("solver", solver)
       .Int("threads", threads)
       .Int("batch", batch)
       .Str("phase", phase)
       .Num("seconds", seconds, 6)
-      .Int("ssad_runs", ssad_runs)
-      .Emit();
+      .Int("ssad_runs", ssad_runs);
+  return line;
 }
 
+/// Phase lines of one build, plus the SSAD-kernel op line for the solvers
+/// that run on the kernel (`kernel`; MMP bypasses it).
 void EmitBuild(const char* solver, uint32_t threads, uint32_t batch,
-               const BuildMeasurement& m) {
+               const BuildMeasurement& m, bool kernel = true) {
   const SeBuildStats& st = m.stats;
-  EmitPhase(solver, threads, batch, "tree", st.tree_seconds, 0);
-  EmitPhase(solver, threads, batch, "enhanced", st.enhanced_seconds, 0);
-  EmitPhase(solver, threads, batch, "pairs", st.pair_gen_seconds, 0);
-  EmitPhase(solver, threads, batch, "total", st.total_seconds, st.ssad_runs);
+  PhaseLine(solver, threads, batch, "tree", st.tree_seconds, 0).Emit();
+  PhaseLine(solver, threads, batch, "enhanced", st.enhanced_seconds, 0)
+      .Int("enhanced_sweeps", st.enhanced_sweeps)
+      .Emit();
+  PhaseLine(solver, threads, batch, "pairs", st.pair_gen_seconds, 0).Emit();
+  PhaseLine(solver, threads, batch, "total", st.total_seconds, st.ssad_runs)
+      .Emit();
+  if (!kernel) return;
   BenchJson("build")
       .Str("solver", solver)
       .Int("threads", threads)
@@ -175,8 +182,6 @@ void Run() {
   if (hw > thread_counts.back()) thread_counts.push_back(hw);
   const std::vector<uint32_t> batch_sizes = {1, 2, 4, 8};
 
-  // Two kernel-backed engines; MMP construction timing is covered by the
-  // paper-figure benches (it bypasses the SSAD kernel).
   Table table("SeOracle::Build per-phase seconds",
               {"solver", "threads", "batch", "tree_s", "enhanced_s",
                "pairs_s", "total_s", "ssad_runs", "kernel_settles",
@@ -245,6 +250,24 @@ void Run() {
           .Int("size_bytes", m.size_bytes)
           .Emit();
     }
+  }
+  // The paper's exact solver. It has no multi-source kernel, so it builds at
+  // batch 1 only, and it bypasses the SSAD kernel: its deterministic
+  // counters are the sweep counts (ssad_runs, enhanced_sweeps).
+  const char* mmp = SolverKindName(SolverKind::kMmpExact);
+  double mmp_serial_total = 0.0;
+  for (uint32_t threads : {1u, 4u}) {
+    const BuildMeasurement m =
+        MeasureBuild(*ds, SolverKind::kMmpExact, threads, 1, seed);
+    if (threads == 1) mmp_serial_total = m.stats.total_seconds;
+    const double speedup = m.stats.total_seconds > 0
+                               ? mmp_serial_total / m.stats.total_seconds
+                               : 0.0;
+    table.AddRow(mmp, threads, 1u, m.stats.tree_seconds,
+                 m.stats.enhanced_seconds, m.stats.pair_gen_seconds,
+                 m.stats.total_seconds, m.stats.ssad_runs,
+                 m.kernel_ops.settles, speedup);
+    EmitBuild(mmp, threads, 1, m, /*kernel=*/false);
   }
   table.Print();
 

@@ -12,6 +12,11 @@ namespace {
 
 constexpr double kTieEps = 1e-11;
 
+bool SamePoint(const SurfacePoint& a, const SurfacePoint& b) {
+  return a.vertex == b.vertex && a.face == b.face && a.pos.x == b.pos.x &&
+         a.pos.y == b.pos.y && a.pos.z == b.pos.z;
+}
+
 }  // namespace
 
 MmpSolver::MmpSolver(const TerrainMesh& mesh)
@@ -57,6 +62,8 @@ void MmpSolver::Reset() {
   vertex_targets_.clear();
   target_heap_.clear();
   targets_settled_count_ = 0;
+  stop_target_idx_ = -1;
+  resumable_ = false;
 }
 
 void MmpSolver::UpdateVertex(uint32_t v, double d) {
@@ -64,6 +71,7 @@ void MmpSolver::UpdateVertex(uint32_t v, double d) {
     vdist_[v] = d;
     heap_.push_back({d, v, 1});
     std::push_heap(heap_.begin(), heap_.end(), std::greater<Event>());
+    if (targets_.empty()) return;
     auto it = vertex_targets_.find(v);
     if (it != vertex_targets_.end()) {
       for (uint32_t t : it->second) {
@@ -79,6 +87,7 @@ void MmpSolver::UpdateVertex(uint32_t v, double d) {
 }
 
 void MmpSolver::MarkFaceTargetsDirty(uint32_t face) {
+  if (targets_.empty()) return;
   auto it = face_targets_.find(face);
   if (it == face_targets_.end()) return;
   for (uint32_t t : it->second) {
@@ -109,10 +118,12 @@ void MmpSolver::InsertWindow(Window w) {
   // Fragments of the new window that remain after losing to existing
   // windows. Existing windows are pairwise disjoint, so each existing window
   // carves independently.
-  std::vector<std::pair<double, double>> w_frags{{w.b0, w.b1}};
-  std::vector<uint32_t> rebuilt;
-  std::vector<Window> o_fragments;
-  rebuilt.reserve(list.size() + 2);
+  std::vector<Interval>& w_frags = w_frags_;
+  std::vector<uint32_t>& rebuilt = rebuilt_;
+  std::vector<Window>& o_fragments = o_fragments_;
+  w_frags.assign(1, {w.b0, w.b1});
+  rebuilt.clear();
+  o_fragments.clear();
 
   for (uint32_t oid : list) {
     Window& o = pool_[oid];
@@ -136,7 +147,8 @@ void MmpSolver::InsertWindow(Window w) {
 
     // Sub-intervals of [o.b0, o.b1] that o keeps (everything outside the
     // overlap plus overlap pieces where o wins or ties).
-    std::vector<std::pair<double, double>> o_keep;
+    std::vector<Interval>& o_keep = o_keep_;
+    o_keep.clear();
     if (o.b0 < lo - eps_len_) o_keep.emplace_back(o.b0, lo);
     bool o_lost_any = false;
     for (int i = 0; i + 1 < npts; ++i) {
@@ -151,7 +163,8 @@ void MmpSolver::InsertWindow(Window w) {
         // o wins or ties: o keeps, w loses this piece.
         o_keep.emplace_back(pts[i], pts[i + 1]);
         // Subtract [pts[i], pts[i+1]] from w_frags.
-        std::vector<std::pair<double, double>> next;
+        std::vector<Interval>& next = frags_next_;
+        next.clear();
         for (const auto& [a, b] : w_frags) {
           const double cl = std::max(a, pts[i]);
           const double ch = std::min(b, pts[i + 1]);
@@ -162,7 +175,7 @@ void MmpSolver::InsertWindow(Window w) {
           if (cl - a > eps_len_) next.emplace_back(a, cl);
           if (b - ch > eps_len_) next.emplace_back(ch, b);
         }
-        w_frags = std::move(next);
+        w_frags.swap(next);
       }
     }
     if (o.b1 > hi + eps_len_) o_keep.emplace_back(hi, o.b1);
@@ -173,7 +186,8 @@ void MmpSolver::InsertWindow(Window w) {
     }
     // o shrinks: merge adjacent keep-intervals, materialize fragments.
     o.alive = false;
-    std::vector<std::pair<double, double>> merged;
+    std::vector<Interval>& merged = o_merged_;
+    merged.clear();
     for (const auto& iv : o_keep) {
       if (!merged.empty() && iv.first - merged.back().second <= eps_len_) {
         merged.back().second = iv.second;
@@ -228,7 +242,9 @@ void MmpSolver::InsertWindow(Window w) {
   std::sort(rebuilt.begin(), rebuilt.end(), [&](uint32_t a, uint32_t b) {
     return pool_[a].b0 < pool_[b].b0;
   });
-  list = std::move(rebuilt);
+  // Swap rather than move: the old list's buffer becomes the next call's
+  // scratch.
+  list.swap(rebuilt);
 
   if (any_new) {
     // New coverage on this edge can improve estimates in both adjacent faces.
@@ -405,11 +421,13 @@ Status MmpSolver::InitSource(const SurfacePoint& source) {
   return Status::Ok();
 }
 
-double MmpSolver::VertexDistance(uint32_t v) const { return vdist_[v]; }
+double MmpSolver::VertexDistance(uint32_t v) const {
+  return v < vdist_.size() ? vdist_[v] : kInfDist;
+}
 
 double MmpSolver::EvaluatePoint(const SurfacePoint& p) const {
-  if (p.is_vertex()) return vdist_[p.vertex];
-  if (p.face == kInvalidId) return kInfDist;
+  if (p.is_vertex()) return VertexDistance(p.vertex);
+  if (p.face == kInvalidId || p.face >= mesh_.num_faces()) return kInfDist;
   double best = kInfDist;
   // Direct in-face segment from the source.
   if (!source_.is_vertex() && source_.face == p.face) {
@@ -469,9 +487,8 @@ Status MmpSolver::Run(const SurfacePoint& source, const SsadOptions& opts) {
   if (opts.cover_targets != nullptr) {
     targets_ = *opts.cover_targets;
   }
-  int stop_target_idx = -1;
   if (opts.stop_target != nullptr) {
-    stop_target_idx = static_cast<int>(targets_.size());
+    stop_target_idx_ = static_cast<int>(targets_.size());
     targets_.push_back(*opts.stop_target);
   }
   target_est_.assign(targets_.size(), kInfDist);
@@ -487,7 +504,24 @@ Status MmpSolver::Run(const SurfacePoint& source, const SsadOptions& opts) {
   }
 
   TSO_RETURN_IF_ERROR(InitSource(source));
+  run_source_ = source;
+  const Status status = Sweep(opts.radius_bound);
+  resumable_ = status.ok() && targets_.empty();
+  return status;
+}
 
+Status MmpSolver::Extend(const SurfacePoint& source, double radius_bound) {
+  if (!resumable_ || !SamePoint(source, run_source_)) {
+    SsadOptions opts;
+    opts.radius_bound = radius_bound;
+    return Run(source, opts);
+  }
+  const Status status = Sweep(radius_bound);
+  resumable_ = status.ok();
+  return status;
+}
+
+Status MmpSolver::Sweep(double radius_bound) {
   auto drain_dirty = [&]() {
     while (!dirty_stack_.empty()) {
       const uint32_t t = dirty_stack_.back();
@@ -519,45 +553,55 @@ Status MmpSolver::Run(const SurfacePoint& source, const SsadOptions& opts) {
   };
   auto done = [&]() {
     if (targets_.empty()) return false;
-    if (stop_target_idx >= 0 && target_settled_[stop_target_idx]) return true;
+    if (stop_target_idx_ >= 0 && target_settled_[stop_target_idx_]) {
+      return true;
+    }
     return targets_settled_count_ == targets_.size();
+  };
+  auto pop = [this]() {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<Event>());
+    heap_.pop_back();
   };
 
   drain_dirty();
-
   while (!heap_.empty()) {
     const Event top = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<Event>());
-    heap_.pop_back();
-
+    // Stale events are dropped (or re-keyed) whatever the bound, exactly as
+    // a run with a larger bound would drop them.
     if (top.type == 0) {
-      if (top.id >= pool_.size()) continue;
-      Window& w = pool_[top.id];
-      if (!w.alive || w.propagated) continue;
-      const double key = MinKey(w);
+      if (top.id >= pool_.size() || !pool_[top.id].alive ||
+          pool_[top.id].propagated) {
+        pop();
+        continue;
+      }
+      const double key = MinKey(pool_[top.id]);
       if (key > top.key + kTieEps * (1.0 + top.key)) {
+        pop();
         heap_.push_back({key, top.id, 0});
         std::push_heap(heap_.begin(), heap_.end(), std::greater<Event>());
         continue;
       }
-      frontier_ = std::max(frontier_, top.key);
-      if (top.key > opts.radius_bound) break;
+    } else if (vertex_processed_[top.id] ||
+               top.key > vdist_[top.id] + kTieEps * (1.0 + vdist_[top.id])) {
+      pop();
+      continue;
+    }
+    frontier_ = std::max(frontier_, top.key);
+    // A live event beyond the bound stays on the heap for a later Extend.
+    if (top.key > radius_bound) break;
+    pop();
+
+    if (top.type == 0) {
+      Window& w = pool_[top.id];
       w.propagated = true;
       ++stats_.windows_propagated;
       // Copy: InsertWindow during propagation may reallocate the pool.
       const Window snapshot = w;
       Propagate(snapshot);
     } else {
-      const uint32_t v = top.id;
-      if (vertex_processed_[v] ||
-          top.key > vdist_[v] + kTieEps * (1.0 + vdist_[v])) {
-        continue;
-      }
-      frontier_ = std::max(frontier_, top.key);
-      if (top.key > opts.radius_bound) break;
-      vertex_processed_[v] = 1;
+      vertex_processed_[top.id] = 1;
       ++stats_.vertices_processed;
-      SpawnPseudoSource(v);
+      SpawnPseudoSource(top.id);
     }
 
     if (pool_.size() > max_windows_) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "geodesic/solver.h"
@@ -27,11 +28,19 @@ namespace tso {
 /// This is the paper's "SSAD exact shortest path algorithm" plug-in (§3.2
 /// Implementation Detail 2), supporting all three stopping criteria of
 /// SsadOptions.
+///
+/// A radius-bounded run stops *before* popping the first live event beyond
+/// the bound, so the wavefront is resumable: Extend() continues the very
+/// same event loop, and a run extended bound by bound ends in the state a
+/// fresh run at the last bound would have reached.
 class MmpSolver : public GeodesicSolver {
  public:
   explicit MmpSolver(const TerrainMesh& mesh);
 
   Status Run(const SurfacePoint& source, const SsadOptions& opts) override;
+  /// Resumes the last run when it was from the same `source`, had no
+  /// cover/stop targets and succeeded; otherwise runs afresh.
+  Status Extend(const SurfacePoint& source, double radius_bound) override;
   double VertexDistance(uint32_t v) const override;
   double PointDistance(const SurfacePoint& p) const override;
   double frontier() const override { return frontier_; }
@@ -73,6 +82,10 @@ class MmpSolver : public GeodesicSolver {
 
   void Reset();
   Status InitSource(const SurfacePoint& source);
+  /// The event loop shared by Run and Extend: processes events in key order
+  /// until the first live one beyond `radius_bound` (left on the heap), the
+  /// heap runs dry, or the stop/cover targets settle.
+  Status Sweep(double radius_bound);
   void InsertWindow(Window w);
   void Propagate(const Window& w);
   void SpawnPseudoSource(uint32_t v);
@@ -90,7 +103,9 @@ class MmpSolver : public GeodesicSolver {
   std::vector<Event> heap_;
   double frontier_ = 0.0;
   double eps_len_ = 0.0;
-  SurfacePoint source_;
+  SurfacePoint source_;        // after InitSource's on-edge nudge
+  SurfacePoint run_source_;    // as passed to Run, for Extend's check
+  bool resumable_ = false;     // last run succeeded without targets
   RunStats stats_;
   size_t max_windows_ = 50'000'000;
 
@@ -104,6 +119,14 @@ class MmpSolver : public GeodesicSolver {
   std::unordered_map<uint32_t, std::vector<uint32_t>> vertex_targets_;
   std::vector<Event> target_heap_;  // (est, target idx) min-heap, lazy
   size_t targets_settled_count_ = 0;
+  int stop_target_idx_ = -1;
+
+  // InsertWindow's scratch, reused across calls so the hot path does not
+  // allocate.
+  using Interval = std::pair<double, double>;
+  std::vector<Interval> w_frags_, frags_next_, o_keep_, o_merged_;
+  std::vector<uint32_t> rebuilt_;
+  std::vector<Window> o_fragments_;
 };
 
 }  // namespace tso

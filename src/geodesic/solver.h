@@ -46,6 +46,16 @@ class GeodesicSolver {
   /// Runs SSAD from `source`. Resets any previous run's state.
   virtual Status Run(const SurfacePoint& source, const SsadOptions& opts) = 0;
 
+  /// Grows the last run's search to `radius_bound`. For a bound no smaller
+  /// than the last run's, the solver state afterwards is bit-identical to
+  /// Run(source, {radius_bound}); solvers that cannot resume (this default)
+  /// simply run again from scratch.
+  virtual Status Extend(const SurfacePoint& source, double radius_bound) {
+    SsadOptions opts;
+    opts.radius_bound = radius_bound;
+    return Run(source, opts);
+  }
+
   /// Distance from the current source to mesh vertex v (kInfDist if the
   /// search never reached it).
   virtual double VertexDistance(uint32_t v) const = 0;

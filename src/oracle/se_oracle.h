@@ -44,13 +44,13 @@ struct SeOracleOptions {
   SolverFactory parallel_solver_factory;
   /// Worker threads for the parallel phases; 0 = hardware concurrency.
   uint32_t num_threads = 0;
-  /// Sources per SSAD sweep in the enhanced-edge phase: same-layer tree
-  /// nodes are grouped into spatially-clustered batches of this size and
-  /// dispatched to GeodesicSolver::SolveBatch, which amortizes the graph
-  /// traversal across nearby sources. Clamped to the solver's max_batch()
-  /// (1 for solvers without native multi-source support, e.g. MMP); 0 and 1
-  /// both mean one source per sweep. The built oracle is bit-identical for
-  /// any batch size.
+  /// Sources per SSAD sweep in the enhanced-edge phase: distinct tree
+  /// centers sharing a top layer are grouped into spatially-clustered
+  /// batches of this size and dispatched to GeodesicSolver::SolveBatch,
+  /// which amortizes the graph traversal across nearby sources. Clamped to
+  /// the solver's max_batch() (1 for solvers without native multi-source
+  /// support, e.g. MMP); 0 and 1 both mean one source per sweep. The built
+  /// oracle is bit-identical for any batch size.
   uint32_t ssad_batch = 4;
 };
 
@@ -69,7 +69,8 @@ struct SeBuildStats {
   size_t tree_speculative_ssads = 0;  // partition-tree SSADs run by workers
   size_t tree_wasted_ssads = 0;       // speculative SSADs never committed
   uint32_t ssad_batch_used = 1;    // enhanced-edge sources per sweep (clamped)
-  size_t enhanced_sweeps = 0;      // multi-source sweeps in the enhanced phase
+  size_t enhanced_sweeps = 0;      // enhanced-phase sweeps (batches, or
+                                   // distinct centers at batch 1)
 };
 
 /// The Space-Efficient distance oracle (SE) — the paper's contribution.

@@ -176,83 +176,108 @@ StatusOr<EnhancedEdges> BuildEnhancedEdges(
       layer.center_points.push_back(pois[tree.node(id).center]);
     }
     layer.grid = std::make_unique<XyGrid>(layer.center_points, layer.reach);
-    if (batch_limit > 1) {
-      // Only the batched pipeline's cross-layer harvest looks centers up.
-      layer.center_to_index.reserve(nodes.size());
-      for (uint32_t i = 0; i < nodes.size(); ++i) {
-        layer.center_to_index.emplace(tree.node(nodes[i]).center, i);
-      }
+    layer.center_to_index.reserve(nodes.size());
+    for (uint32_t i = 0; i < nodes.size(); ++i) {
+      layer.center_to_index.emplace(tree.node(nodes[i]).center, i);
     }
   }
+
+  // A center persists to every deeper layer (pc-priority selection + the
+  // Separation property), so both pipelines sweep each *distinct* center,
+  // not each tree node, and harvest its labels for every layer it centers:
+  // the layers from its top layer (where it first appears) down.
+  struct CenterItem {
+    int top_layer;
+    uint32_t center;
+  };
+  std::vector<CenterItem> items;  // top layer first
+  std::vector<uint8_t> seen(pois.size(), 0);
+  for (int m = 0; m <= height; ++m) {
+    if (layers[m].grid == nullptr) continue;
+    for (uint32_t id : tree.layer_nodes(m)) {
+      const uint32_t center = tree.node(id).center;
+      if (seen[center] != 0) continue;
+      seen[center] = 1;
+      items.push_back({m, center});
+    }
+  }
+  auto emit_center = [&](int m, uint32_t center, const GeodesicSolver& s,
+                         uint32_t source_index,
+                         std::vector<uint32_t>* candidates, EdgeEntries* out) {
+    const auto it = layers[m].center_to_index.find(center);
+    TSO_CHECK(it != layers[m].center_to_index.end());
+    EmitLayerEdges(layers[m], tree.layer_nodes(m), it->second, s,
+                   source_index, candidates, out);
+  };
 
   std::vector<std::pair<uint64_t, uint64_t>> entries;
 
   if (batch_limit == 1) {
-    // Reference pipeline (no multi-source batching): one SSAD per tree node,
-    // layer by layer. Kept as the plain baseline the batched pipeline must
-    // match bit-for-bit; still sharded over workers when threads are given.
-    for (int m = 0; m <= height; ++m) {
-      if (layers[m].grid == nullptr) continue;
-      const EnhancedLayer& layer = layers[m];
-      const std::vector<uint32_t>& nodes = tree.layer_nodes(m);
-
-      auto process_node = [&](GeodesicSolver& s, uint32_t i,
+    // Per-center pipeline (no multi-source batching): one work item per
+    // distinct center. It runs at the center's deepest (smallest) reach,
+    // then extends layer by layer up to its top layer, harvesting each layer
+    // on the way. Extend leaves the state of a fresh run at that reach, so
+    // every layer reads exactly a per-node SSAD's labels; where the reach
+    // does not grow (the capped top layers) nothing runs at all. Items go
+    // top layer first so the whole-mesh sweeps start first.
+    auto process_center = [&](GeodesicSolver& s, uint32_t k,
                               EdgeEntries& out) -> Status {
-        SsadOptions opts;
-        opts.radius_bound = layer.reach * (1.0 + 1e-9);
-        TSO_RETURN_IF_ERROR(s.Run(layer.center_points[i], opts));
-        std::vector<uint32_t> candidates;
-        EmitLayerEdges(layer, nodes, i, s, 0, &candidates, &out);
-        return Status::Ok();
-      };
-      TSO_RETURN_IF_ERROR(ShardEnhancedWork(
-          solver, options.parallel_solver_factory, num_threads, nodes.size(),
-          process_node, &entries));
-      st->ssad_runs += nodes.size();
-      st->enhanced_sweeps += nodes.size();
-    }
+      const CenterItem& item = items[k];
+      const SurfacePoint& source = pois[item.center];
+      std::vector<uint32_t> candidates;
+      double swept = -1.0;  // bound of the last sweep; none yet
+      for (int m = height; m >= item.top_layer; --m) {
+        const double bound = layers[m].reach * (1.0 + 1e-9);
+        if (swept < 0.0) {
+          SsadOptions opts;
+          opts.radius_bound = bound;
+          TSO_RETURN_IF_ERROR(s.Run(source, opts));
+        } else if (bound != swept) {
+          TSO_RETURN_IF_ERROR(s.Extend(source, bound));
+        }
+        swept = bound;
+        emit_center(m, item.center, s, 0, &candidates, &out);
+      }
+      return Status::Ok();
+    };
+    TSO_RETURN_IF_ERROR(ShardEnhancedWork(
+        solver, options.parallel_solver_factory, num_threads, items.size(),
+        process_center, &entries));
+    st->ssad_runs += items.size();
+    st->enhanced_sweeps += items.size();
   } else {
     // Batched pipeline. Two amortizations, both preserving the exact entry
     // set and bit-identical distances:
-    //  * cross-layer sweep dedup — a center persists to every deeper layer
-    //    (pc-priority selection + the Separation property), so instead of
-    //    one SSAD per tree node, each *distinct* center sweeps once at its
-    //    topmost (largest) reach and the labels are harvested for every
-    //    layer it centers (a bounded Dijkstra's labels within the bound do
-    //    not depend on the bound);
+    //  * cross-layer sweep dedup — each distinct center sweeps once at its
+    //    topmost (largest) reach and every layer it centers is harvested
+    //    from that one sweep (a bounded Dijkstra's labels within the bound
+    //    do not depend on the bound);
     //  * multi-source group sweeps — sweeps that start at the same topmost
     //    layer share one kernel sweep per spatially-clustered batch.
     struct SweepGroup {
-      int top_layer;                        // sweep radius = reach here
-      std::vector<uint32_t> first_indices;  // into that layer's nodes
+      int top_layer;                 // sweep radius = reach here
+      std::vector<uint32_t> centers;  // the centers whose top layer it is
       std::vector<std::vector<uint32_t>> batches;
     };
     std::vector<SweepGroup> groups;
-    std::vector<uint8_t> seen(pois.size(), 0);
     size_t total_batches = 0;
-    for (int m = 0; m <= height; ++m) {
-      if (layers[m].grid == nullptr) continue;
-      const std::vector<uint32_t>& nodes = tree.layer_nodes(m);
+    for (size_t k = 0; k < items.size();) {
       SweepGroup group;
-      group.top_layer = m;
+      group.top_layer = items[k].top_layer;
       std::vector<SurfacePoint> group_points;
-      for (uint32_t i = 0; i < nodes.size(); ++i) {
-        const uint32_t center = tree.node(nodes[i]).center;
-        if (seen[center] != 0) continue;
-        seen[center] = 1;
-        group.first_indices.push_back(i);
-        group_points.push_back(layers[m].center_points[i]);
+      for (; k < items.size() && items[k].top_layer == group.top_layer; ++k) {
+        group.centers.push_back(items[k].center);
+        group_points.push_back(pois[items[k].center]);
       }
-      if (group.first_indices.empty()) continue;
       // Sources sharing a sweep must be tight relative to the search
       // radius: a spread-comparable-to-reach batch degenerates into
       // label-correcting churn.
-      group.batches = XyClusteredBatches(group_points, batch_limit,
-                                         0.1 * layers[m].reach);
+      group.batches = XyClusteredBatches(
+          group_points, batch_limit, 0.1 * layers[group.top_layer].reach);
       total_batches += group.batches.size();
-      st->ssad_runs += group.first_indices.size();
       groups.push_back(std::move(group));
     }
+    st->ssad_runs += items.size();
     st->enhanced_sweeps += total_batches;
 
     // Flatten for the work queue: one group sweep per batch, harvested for
@@ -269,27 +294,17 @@ StatusOr<EnhancedEdges> BuildEnhancedEdges(
     auto process_batch = [&](GeodesicSolver& s, const SweepGroup& group,
                              const std::vector<uint32_t>& batch,
                              EdgeEntries& out) -> Status {
-      const EnhancedLayer& top = layers[group.top_layer];
-      const std::vector<uint32_t>& top_nodes =
-          tree.layer_nodes(group.top_layer);
       std::vector<SurfacePoint> sources;
       sources.reserve(batch.size());
-      for (uint32_t b : batch) {
-        sources.push_back(top.center_points[group.first_indices[b]]);
-      }
+      for (uint32_t b : batch) sources.push_back(pois[group.centers[b]]);
       SsadOptions opts;
-      opts.radius_bound = top.reach * (1.0 + 1e-9);
+      opts.radius_bound = layers[group.top_layer].reach * (1.0 + 1e-9);
       TSO_RETURN_IF_ERROR(s.SolveBatch(sources, opts));
       std::vector<uint32_t> candidates;
       for (uint32_t b = 0; b < batch.size(); ++b) {
-        const uint32_t i_top = group.first_indices[batch[b]];
-        const uint32_t center = tree.node(top_nodes[i_top]).center;
+        const uint32_t center = group.centers[batch[b]];
         for (int m = group.top_layer; m <= height; ++m) {
-          if (layers[m].grid == nullptr) continue;
-          const auto it = layers[m].center_to_index.find(center);
-          TSO_CHECK(it != layers[m].center_to_index.end());
-          EmitLayerEdges(layers[m], tree.layer_nodes(m), it->second, s, b,
-                         &candidates, &out);
+          emit_center(m, center, s, b, &candidates, &out);
         }
       }
       return Status::Ok();

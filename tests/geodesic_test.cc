@@ -4,6 +4,7 @@
 // checked on rugged synthetic terrain.
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -286,6 +287,108 @@ TEST(SsadStopping, DijkstraRadiusSemantics) {
       EXPECT_DOUBLE_EQ(bounded.VertexDistance(v), exact);
     }
   }
+}
+
+// --- Resumable sweeps ---
+
+// `got` and `want` hold bit-identical results: every vertex label, the
+// sample's point distances, frontier() and the run statistics.
+void ExpectSameState(const TerrainMesh& mesh, const MmpSolver& got,
+                     const MmpSolver& want,
+                     const std::vector<SurfacePoint>& sample,
+                     const std::string& what) {
+  for (uint32_t v = 0; v < mesh.num_vertices(); ++v) {
+    EXPECT_EQ(got.VertexDistance(v), want.VertexDistance(v))
+        << what << " vertex " << v;
+  }
+  for (size_t i = 0; i < sample.size(); ++i) {
+    EXPECT_EQ(got.PointDistance(sample[i]), want.PointDistance(sample[i]))
+        << what << " sample " << i;
+  }
+  EXPECT_EQ(got.frontier(), want.frontier()) << what;
+  EXPECT_EQ(got.stats().windows_created, want.stats().windows_created)
+      << what;
+  EXPECT_EQ(got.stats().windows_propagated, want.stats().windows_propagated)
+      << what;
+  EXPECT_EQ(got.stats().vertices_processed, want.stats().vertices_processed)
+      << what;
+}
+
+TEST(MmpExtend, MatchesFreshRunAtEveryBound) {
+  TerrainMesh mesh = RuggedMesh(500, 45);
+  PointLocator locator(mesh);
+  Rng rng(9);
+  const std::vector<SurfacePoint> sample =
+      GenerateUniformPois(mesh, locator, 25, rng);
+  // A vertex source and a face-interior source.
+  ASSERT_FALSE(sample[0].is_vertex());
+  const std::vector<SurfacePoint> sources = {SurfacePoint::AtVertex(mesh, 17),
+                                             sample[0]};
+  const std::vector<double> bounds = {150.0, 400.0, 700.0, kInfDist};
+  for (size_t si = 0; si < sources.size(); ++si) {
+    const SurfacePoint& src = sources[si];
+    MmpSolver extended(mesh);
+    MmpSolver fresh(mesh);
+    SsadOptions first;
+    first.radius_bound = bounds[0];
+    ASSERT_TRUE(extended.Run(src, first).ok());
+    for (size_t bi = 0; bi < bounds.size(); ++bi) {
+      const std::string what =
+          "source " + std::to_string(si) + " bound " + std::to_string(bi);
+      if (bi > 0) {
+        ASSERT_TRUE(extended.Extend(src, bounds[bi]).ok());
+      }
+      SsadOptions opts;
+      opts.radius_bound = bounds[bi];
+      ASSERT_TRUE(fresh.Run(src, opts).ok());
+      if (bounds[bi] < kInfDist) {
+        EXPECT_LT(fresh.frontier(), kInfDist) << what << ": bound too loose";
+      }
+      ExpectSameState(mesh, extended, fresh, sample, what);
+      // Extending to an equal or smaller bound changes nothing.
+      ASSERT_TRUE(extended.Extend(src, bounds[bi]).ok());
+      ASSERT_TRUE(extended.Extend(src, 0.5 * bounds[0]).ok());
+      ExpectSameState(mesh, extended, fresh, sample, what + " (no-op)");
+    }
+  }
+
+  // Extend from another source, or after a run with targets, is a fresh run.
+  MmpSolver extended(mesh);
+  MmpSolver fresh(mesh);
+  SsadOptions opts;
+  opts.radius_bound = bounds[0];
+  ASSERT_TRUE(extended.Run(sources[0], opts).ok());
+  ASSERT_TRUE(extended.Extend(sources[1], bounds[1]).ok());
+  opts.radius_bound = bounds[1];
+  ASSERT_TRUE(fresh.Run(sources[1], opts).ok());
+  ExpectSameState(mesh, extended, fresh, sample, "other source");
+  SsadOptions targeted;
+  targeted.stop_target = &sample[5];
+  ASSERT_TRUE(extended.Run(sources[1], targeted).ok());
+  ASSERT_TRUE(extended.Extend(sources[1], bounds[1]).ok());
+  ExpectSameState(mesh, extended, fresh, sample, "after a targeted run");
+}
+
+TEST(MmpSolver, OutOfRangePointsAreInfinite) {
+  TerrainMesh mesh = FlatMesh(6);
+  MmpSolver solver(mesh);
+  ASSERT_TRUE(solver.Run(SurfacePoint::AtVertex(mesh, 0), {}).ok());
+  const uint32_t nv = static_cast<uint32_t>(mesh.num_vertices());
+  const uint32_t nf = static_cast<uint32_t>(mesh.num_faces());
+  EXPECT_EQ(solver.VertexDistance(nv), kInfDist);
+  EXPECT_EQ(solver.VertexDistance(kInvalidId - 1), kInfDist);
+  SurfacePoint bad_vertex = SurfacePoint::AtVertex(mesh, 1);
+  bad_vertex.vertex = nv + 3;
+  EXPECT_EQ(solver.PointDistance(bad_vertex), kInfDist);
+  const SurfacePoint bad_face = SurfacePoint::OnFace(nf, mesh.vertex(1));
+  EXPECT_EQ(solver.PointDistance(bad_face), kInfDist);
+  // As a stop target the point never settles: the run sweeps the whole mesh
+  // and still reports it unreachable.
+  SsadOptions opts;
+  opts.stop_target = &bad_face;
+  ASSERT_TRUE(solver.Run(SurfacePoint::AtVertex(mesh, 0), opts).ok());
+  EXPECT_EQ(solver.PointDistance(bad_face), kInfDist);
+  EXPECT_EQ(solver.frontier(), kInfDist);
 }
 
 // --- Symmetry (metric property) ---

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/crc32.h"
 #include "baselines/full_materialization.h"
 #include "geodesic/dijkstra_solver.h"
 #include "geodesic/mmp_solver.h"
@@ -303,8 +304,9 @@ TEST(SeOracle, EightThreadBuildIsDeterministic) {
 TEST(SeOracle, BatchedParallelBuildMatchesSerialUnbatched) {
   // Acceptance gate for multi-source batching: T=8 with 4-source group
   // sweeps must answer every query identically to the plain T=1 build with
-  // batching disabled (batch=1 runs the reference one-SSAD-per-node
-  // pipeline), with the same node-pair count and no enhanced-edge misses.
+  // batching disabled (batch=1 sweeps one distinct center at a time, rerun
+  // at each layer's reach since Dijkstra cannot resume), with the same
+  // node-pair count and no enhanced-edge misses.
   OracleFixture fx(40, 97, 600);
   DijkstraSolver serial_solver(*fx.ds->mesh);
   DijkstraSolver parallel_solver(*fx.ds->mesh);
@@ -331,13 +333,53 @@ TEST(SeOracle, BatchedParallelBuildMatchesSerialUnbatched) {
   EXPECT_EQ(batched_stats.distance_fallbacks, 0u);
   EXPECT_EQ(serial_stats.node_pairs, batched_stats.node_pairs);
   EXPECT_EQ(serial_stats.enhanced_edges, batched_stats.enhanced_edges);
-  // The batched pipeline sweeps each distinct center once (at its topmost
-  // layer) instead of once per tree node.
+  // Both pipelines sweep each distinct center once; batching then shares
+  // one kernel sweep between several centers.
   EXPECT_LT(batched_stats.enhanced_sweeps, serial_stats.enhanced_sweeps);
   const size_t n = fx.ds->pois.size();
   for (uint32_t s = 0; s < n; ++s) {
     for (uint32_t t = 0; t < n; ++t) {
       EXPECT_EQ(*a->Distance(s, t), *b->Distance(s, t)) << s << "," << t;
+    }
+  }
+}
+
+TEST(SeOracle, MmpBuildMatchesRecordedBytes) {
+  // Pins the exact MMP build's serialized bytes at 1 and 4 threads. How
+  // the enhanced-edge phase schedules its SSADs (one resumable sweep per
+  // distinct center, extended layer by layer) must never show in the
+  // artifact. At ε = 0.1 every layer's reach is capped at 2·r_0, so no
+  // sweep grows; at ε = 0.25 the deepest layers' reaches are not, so sweeps
+  // are extended, and an extension that lost labels would miss enhanced
+  // edges.
+  OracleFixture fx(60, 37);
+  const TerrainMesh& mesh = *fx.ds->mesh;
+  struct Recorded {
+    double epsilon;
+    size_t bytes;
+    uint32_t crc32;
+  };
+  for (const Recorded& want : {Recorded{0.1, 230784, 1695388641u},
+                               Recorded{0.25, 228608, 2117601540u}}) {
+    for (uint32_t threads : {1u, 4u}) {
+      SeOracleOptions options;
+      options.epsilon = want.epsilon;
+      options.seed = 13;
+      if (threads > 1) {
+        options.parallel_solver_factory = [&mesh]() {
+          return std::unique_ptr<GeodesicSolver>(new MmpSolver(mesh));
+        };
+        options.num_threads = threads;
+      }
+      SeBuildStats stats;
+      const std::string blob =
+          SerializeSeOracleFlat(fx.BuildOracle(options, &stats));
+      EXPECT_EQ(stats.distance_fallbacks, 0u)
+          << "eps=" << want.epsilon << " threads=" << threads;
+      EXPECT_EQ(blob.size(), want.bytes)
+          << "eps=" << want.epsilon << " threads=" << threads;
+      EXPECT_EQ(Crc32(blob.data(), blob.size()), want.crc32)
+          << "eps=" << want.epsilon << " threads=" << threads;
     }
   }
 }
