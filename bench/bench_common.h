@@ -223,6 +223,8 @@ QueryMeasurement MeasureQueries(
   return m;
 }
 
+/// Bytes -> MiB. The SE "oracle size" columns pass SeOracle::SizeBytes():
+/// the oracle's TSOFLAT bytes, i.e. the size of the file it saves to.
 inline double MegaBytes(size_t bytes) {
   return static_cast<double>(bytes) / (1024.0 * 1024.0);
 }

@@ -13,6 +13,7 @@
 
 #include "geodesic/dijkstra_solver.h"
 #include "oracle/pack_view.h"
+#include "oracle/se_oracle.h"
 #include "serve/engine.h"
 #include "terrain/dataset.h"
 

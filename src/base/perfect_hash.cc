@@ -178,7 +178,6 @@ StatusOr<PerfectHash> PerfectHash::Build(
   PerfectHash ph;
   Raw& raw = ph.raw_;
   const size_t n = entries.size();
-  ph.num_keys_ = n;
   raw.num_keys = n;
   raw.num_buckets = static_cast<uint32_t>(std::max<size_t>(1, n));
 
@@ -268,13 +267,6 @@ size_t PerfectHash::SizeBytes() const {
          raw.slot_key.size() * sizeof(uint64_t) +
          raw.slot_value.size() * sizeof(uint64_t) +
          raw.slot_used.size() * sizeof(uint8_t);
-}
-
-PerfectHash PerfectHash::FromRaw(Raw raw) {
-  PerfectHash ph;
-  ph.num_keys_ = raw.num_keys;
-  ph.raw_ = std::move(raw);
-  return ph;
 }
 
 }  // namespace tso

@@ -71,6 +71,16 @@ class PerfectHashView {
 
   size_t size() const { return num_keys_; }
 
+  // The tables this view probes, in the order the flat oracle format stores
+  // them (read by the flat writer, oracle/oracle_serde.cc).
+  uint64_t mul1() const { return mul1_; }
+  uint32_t num_buckets() const { return num_buckets_; }
+  std::span<const uint64_t> bucket_mul() const { return bucket_mul_; }
+  std::span<const uint32_t> bucket_offset() const { return bucket_offset_; }
+  std::span<const uint64_t> slot_key() const { return slot_key_; }
+  std::span<const uint64_t> slot_value() const { return slot_value_; }
+  std::span<const uint8_t> slot_used() const { return slot_used_; }
+
   static uint64_t Mix(uint64_t key, uint64_t mul) {
     // Multiply-xorshift universal-ish hash (xxhash-style avalanche).
     uint64_t h = key * mul;
@@ -139,7 +149,7 @@ class PerfectHash {
     return Lookup(key, &unused);
   }
 
-  size_t size() const { return num_keys_; }
+  size_t size() const { return raw_.num_keys; }
   /// Memory footprint of the index structures in bytes.
   size_t SizeBytes() const;
 
@@ -150,7 +160,7 @@ class PerfectHash {
                            raw_.slot_value, raw_.slot_used);
   }
 
-  // Raw table access, exposed for serialization (oracle/oracle_serde.cc).
+ private:
   struct Raw {
     uint64_t mul1;
     uint32_t num_buckets;
@@ -161,16 +171,12 @@ class PerfectHash {
     std::vector<uint64_t> slot_value;
     std::vector<uint8_t> slot_used;
   };
-  const Raw& raw() const { return raw_; }
-  static PerfectHash FromRaw(Raw raw);
 
- private:
   static uint64_t Mix(uint64_t key, uint64_t mul) {
     return PerfectHashView::Mix(key, mul);
   }
 
-  Raw raw_;
-  uint64_t num_keys_ = 0;
+  Raw raw_{};
 };
 
 /// Packs an ordered pair of 32-bit ids into the uint64 key space used for

@@ -75,11 +75,7 @@ StatusOr<std::unique_ptr<DynamicSeOracle>> DynamicSeOracle::Create(
   StatusOr<SeOracle> built =
       SeOracle::Build(mesh, std::move(pois), solver, options.base);
   if (!built.ok()) return built.status();
-  auto gen = std::make_shared<DynamicSnapshot::BaseGen>();
-  gen->owned = std::make_unique<SeOracle>(std::move(*built));
-  gen->source = MakeSource(*gen->owned);
-  gen->size_bytes = gen->owned->SizeBytes();
-  return Mount(std::move(gen), &mesh, &solver, options);
+  return FromView(std::move(*built), &mesh, &solver, options);
 }
 
 StatusOr<std::unique_ptr<DynamicSeOracle>> DynamicSeOracle::FromView(
@@ -362,9 +358,9 @@ Status DynamicSeOracle::CompactLocked() {
     }
   }
   auto gen = std::make_shared<DynamicSnapshot::BaseGen>();
-  gen->owned = std::make_unique<SeOracle>(std::move(*built));
-  gen->source = MakeSource(*gen->owned);
-  gen->size_bytes = gen->owned->SizeBytes();
+  gen->view.emplace(std::move(*built));
+  gen->source = MakeSource(*gen->view);
+  gen->size_bytes = gen->view->SizeBytes();
 
   // Injected failures land after the aside rebuild but before the publish
   // swap: the rebuilt base is simply discarded, the delta (and every

@@ -104,12 +104,13 @@ class DynamicSnapshot final : public DistanceOverlay {
   friend class DynamicSeOracle;
 
   /// The immutable base generation, shared by every snapshot published on
-  /// top of it and released (dropping the mapping / the owned oracle) when
-  /// the last such snapshot is reclaimed.
+  /// top of it and released (dropping the view's bytes) when the last such
+  /// snapshot is reclaimed.
   struct BaseGen {
-    std::unique_ptr<SeOracle> owned;  // Create() / compaction rebuilds
-    std::optional<OracleView> view;   // FromView()
-    DistanceSource source;            // flattened base (dense indices)
+    // Create() / compaction rebuilds (a built SeOracle's bytes) and
+    // FromView(); empty for FromSource(), whose caller owns the base.
+    std::optional<OracleView> view;
+    DistanceSource source;  // flattened base (dense indices)
     size_t size_bytes = 0;
   };
 
@@ -130,9 +131,10 @@ class DynamicSnapshot final : public DistanceOverlay {
 /// item (§6) grown onto the serving stack. POIs can be inserted and removed
 /// *under* live query traffic:
 ///
-///   - Base layer: an immutable base — an owned SeOracle (Create), a
-///     memory-mapped OracleView (FromView), or any DistanceSource such as a
-///     PackView's (FromSource) — answers base-to-base pairs ε-approximately.
+///   - Base layer: an immutable base — an OracleView over a built
+///     SeOracle's bytes (Create) or a mapped file (FromView), or any
+///     DistanceSource such as a PackView's (FromSource) — answers
+///     base-to-base pairs ε-approximately.
 ///   - Delta layer: each Insert runs one SSAD and materializes exact
 ///     distances to every live POI, appends the record to a per-thread
 ///     oplog (dyn/oplog.h) lock-free, and merges the log into a fresh
@@ -167,10 +169,11 @@ class DynamicSeOracle {
       const TerrainMesh& mesh, std::vector<SurfacePoint> pois,
       GeodesicSolver& solver, const DynamicOracleOptions& options);
 
-  /// Mounts the dynamic layer on a mapped flat oracle (the view is owned by
-  /// the layer; the mapping is released once the last snapshot referencing
-  /// it is reclaimed). `mesh`/`solver` may be null: the layer is then
-  /// remove-only (Insert and Compact need the geodesic engine).
+  /// Mounts the dynamic layer on a flat oracle view — a mapped file or a
+  /// built SeOracle (the view is owned by the layer; its bytes are released
+  /// once the last snapshot referencing them is reclaimed). `mesh`/`solver`
+  /// may be null: the layer is then remove-only (Insert and Compact need
+  /// the geodesic engine).
   static StatusOr<std::unique_ptr<DynamicSeOracle>> FromView(
       OracleView view, const TerrainMesh* mesh, GeodesicSolver* solver,
       const DynamicOracleOptions& options);

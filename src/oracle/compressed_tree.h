@@ -103,8 +103,9 @@ class CompressedTreeView {
 };
 
 /// Load-time validation run by every oracle loader (OracleView, and through
-/// it MaterializeSeOracle and PackView): every node's child list must contain exactly
-/// num_children nodes, each naming that node as its parent, then terminate.
+/// it every built SeOracle and PackView): every node's child list must
+/// contain exactly num_children nodes, each naming that node as its parent,
+/// then terminate.
 /// Combined with bounds-checked links this rules out sibling/child cycles,
 /// so tree traversals (e.g. KnnQueryPruned's best-first search) terminate
 /// on any loaded oracle, however corrupt the input bytes were. Requires all
@@ -143,16 +144,6 @@ class CompressedTree {
 
   Status CheckInvariants() const { return view().CheckInvariants(); }
 
-  size_t SizeBytes() const {
-    return sizeof(*this) + nodes_.size() * sizeof(Node) +
-           leaf_of_poi_.size() * sizeof(uint32_t);
-  }
-
-  // Mutable access for deserialization (oracle_serde).
-  std::vector<Node>& mutable_nodes() { return nodes_; }
-  std::vector<uint32_t>& mutable_leaf_of_poi() { return leaf_of_poi_; }
-  void set_root(uint32_t r) { root_ = r; }
-  void set_height(int h) { height_ = h; }
   const std::vector<Node>& nodes() const { return nodes_; }
 
  private:

@@ -3,7 +3,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstring>
 
 #include "mesh/terrain_mesh.h"
 #include "oracle/compressed_tree.h"
@@ -95,10 +94,6 @@ struct FlatHeader {
   uint64_t reserved1;
   uint64_t reserved2;
   uint64_t reserved3;
-
-  bool MagicMatches() const {
-    return std::memcmp(magic, kFlatMagic, sizeof(kFlatMagic)) == 0;
-  }
 };
 static_assert(sizeof(FlatHeader) == 64 && alignof(FlatHeader) == 8,
               "FlatHeader layout is frozen");

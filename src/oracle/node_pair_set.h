@@ -142,13 +142,7 @@ class NodePairSet {
   size_t size() const { return pairs_.size(); }
   const std::vector<NodePair>& pairs() const { return pairs_; }
 
-  size_t SizeBytes() const {
-    return sizeof(*this) + pairs_.size() * sizeof(NodePair) +
-           hash_.SizeBytes();
-  }
-
-  // For serialization.
-  const PerfectHash& hash() const { return hash_; }
+  // For the pack writer's per-shard sets.
   static NodePairSet FromParts(std::vector<NodePair> pairs, PerfectHash hash) {
     NodePairSet s;
     s.pairs_ = std::move(pairs);

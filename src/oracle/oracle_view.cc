@@ -68,8 +68,8 @@ Status VerifySectionChecksums(const FlatReader& reader,
 
 /// Structural validation of the mapped content: after this passes, every
 /// index a query can follow stays in bounds, and every parent walk
-/// terminates. Deliberately cheaper than MaterializeSeOracle's full
-/// content scan: only the tree sections (O(n) with n = POIs, the small part
+/// terminates. Deliberately cheaper than a full content scan: only the
+/// tree sections (O(n) with n = POIs, the small part
 /// of the file) are walked, because the tree traversal dereferences their
 /// links unguarded on the hot path. The big sections — node pairs and the
 /// perfect-hash tables, the bulk of the bytes — need no upfront scan: their
@@ -213,13 +213,15 @@ bool LooksLikeFlatOracle(std::string_view buffer) {
 }
 
 StatusOr<FlatFileInfo> ReadFlatFileInfo(std::string_view buffer) {
+  // Magic first, so any non-oracle input (even one shorter than a header)
+  // is InvalidArgument rather than a truncation.
+  if (!LooksLikeFlatOracle(buffer)) {
+    return Status::InvalidArgument("flat oracle: bad magic");
+  }
   FlatReader reader(buffer);
   FlatFileInfo info;
   TSO_RETURN_IF_ERROR(reader.ReadPod(0, &info.header));
   const FlatHeader& h = info.header;
-  if (!h.MagicMatches()) {
-    return Status::InvalidArgument("flat oracle: bad magic");
-  }
   if (h.endian_tag != kFlatEndianTag) {
     return Status::InvalidArgument(
         "flat oracle: endianness mismatch (file written on a foreign "
@@ -358,18 +360,27 @@ StatusOr<OracleView> OracleView::FromBuffer(std::string_view buffer,
   return view;
 }
 
+StatusOr<OracleView> OracleView::FromBytes(std::string bytes,
+                                           const Options& options) {
+  auto owned = std::make_shared<const std::string>(std::move(bytes));
+  StatusOr<OracleView> view = FromBuffer(*owned, options);
+  if (!view.ok()) return view.status();
+  view->owner_ = std::move(owned);
+  return view;
+}
+
 StatusOr<OracleView> OracleView::Open(const std::string& path,
                                       const Options& options) {
   StatusOr<MmapFile> file = MmapFile::Open(path);
   if (!file.ok()) return file.status();
-  auto shared = std::make_shared<MmapFile>(std::move(*file));
+  auto shared = std::make_shared<const MmapFile>(std::move(*file));
   StatusOr<OracleView> view = FromBuffer(shared->view(), options);
   if (!view.ok()) {
     // FromBuffer only sees bytes; re-attach the path so a failed open (or a
     // failed reload loop built on it) is diagnosable from the message alone.
     return Status::Annotate(view.status(), path);
   }
-  view->file_ = std::move(shared);
+  view->owner_ = std::move(shared);
   return view;
 }
 

@@ -6,6 +6,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "base/mmap_file.h"
@@ -16,18 +17,18 @@
 namespace tso {
 
 /// The immutable query-time representation of the SE oracle: a zero-copy
-/// facade over a flat-format buffer (oracle/flat_format.h), typically a
-/// memory-mapped oracle file. Opening is O(validation) — no per-element
-/// copies, no heap-materialized vectors; every query reads the mapped
-/// sections in place through the shared view forms (CompressedTreeView,
-/// NodePairSetView). Answers are bit-identical to the owning SeOracle the
-/// file was serialized from, because both run the same lookup code over the
-/// same bytes.
+/// facade over a flat-format buffer (oracle/flat_format.h) — a
+/// memory-mapped oracle file (Open), the heap bytes a build produced
+/// (FromBytes; SeOracle is exactly such a view), or caller-owned bytes
+/// (FromBuffer). Opening is O(validation) — no per-element copies, no
+/// heap-materialized vectors; every query reads the sections in place
+/// through the shared view forms (CompressedTreeView, NodePairSetView), so a
+/// built oracle and the file it is saved to answer bit-identically.
 ///
-/// Thread safety: like SeOracle, an OracleView is immutable and every query
-/// is const, re-entrant, and safe to call concurrently. Copying a view is
-/// cheap and shares the underlying mapping; read-only mapped pages are
-/// additionally shared between *processes* serving the same file.
+/// Thread safety: an OracleView is immutable and every query is const,
+/// re-entrant, and safe to call concurrently. Copying a view is cheap and
+/// shares the underlying bytes; read-only mapped pages are additionally
+/// shared between *processes* serving the same file.
 class OracleView {
  public:
   struct Options {
@@ -50,6 +51,15 @@ class OracleView {
     return FromBuffer(buffer, Options());
   }
 
+  /// Opens a flat oracle over `bytes`, which the view takes ownership of
+  /// (shared across copies, released with the last copy). Same validation
+  /// as FromBuffer.
+  static StatusOr<OracleView> FromBytes(std::string bytes,
+                                        const Options& options);
+  static StatusOr<OracleView> FromBytes(std::string bytes) {
+    return FromBytes(std::move(bytes), Options());
+  }
+
   /// Memory-maps `path` and opens it; the mapping is owned by the view
   /// (shared across copies) and released with the last copy.
   static StatusOr<OracleView> Open(const std::string& path,
@@ -58,8 +68,9 @@ class OracleView {
     return Open(path, Options());
   }
 
-  /// ε-approximate distance between POIs s and t — the same O(h) query as
-  /// SeOracle::Distance, served from the mapped buffer.
+  /// ε-approximate distance between POIs s and t — the efficient O(h)
+  /// query of §3.4 (same-layer scan + first-higher + first-lower passes).
+  /// The scratch-free overload uses a thread_local QueryScratch.
   StatusOr<double> Distance(uint32_t s, uint32_t t) const {
     static thread_local QueryScratch scratch;
     return Distance(s, t, scratch);
@@ -70,7 +81,8 @@ class OracleView {
     return OracleDistance(tree_, pairs_, s, t, scratch);
   }
 
-  /// The O(h²) naive query (SE-Naive baseline).
+  /// The O(h²) naive query of §3.4 (scans A_s × A_t). Same answers; used
+  /// as the SE-Naive baseline and in ablation benchmarks.
   StatusOr<double> DistanceNaive(uint32_t s, uint32_t t) const {
     static thread_local QueryScratch scratch;
     return DistanceNaive(s, t, scratch);
@@ -89,8 +101,9 @@ class OracleView {
   const CompressedTreeView& tree() const { return tree_; }
   const NodePairSetView& pair_set() const { return pairs_; }
 
-  /// Size of the backing buffer — for a mapped file, the bytes shared as
-  /// read-only pages rather than heap-resident.
+  /// Size of the backing buffer (the paper's "oracle size") — for a
+  /// mapped file, the bytes shared as read-only pages rather than
+  /// heap-resident.
   size_t SizeBytes() const { return buffer_.size(); }
 
   /// The raw flat-format bytes backing this view.
@@ -107,7 +120,9 @@ class OracleView {
   }
 
   std::string_view buffer_;
-  std::shared_ptr<MmapFile> file_;  // null when FromBuffer supplied the bytes
+  // Keeps buffer_ alive: the MmapFile (Open) or std::string (FromBytes);
+  // null when FromBuffer borrowed caller-owned bytes.
+  std::shared_ptr<const void> owner_;
   double epsilon_ = 0.0;
   std::span<const SurfacePoint> pois_;
   CompressedTreeView tree_;

@@ -27,7 +27,7 @@ Status PackSectionError(uint32_t id, const char* what) {
 /// Assigns every POI to a shard under `options`. Deterministic for a given
 /// oracle: the geo policy sorts by position with the POI id as the final
 /// tie-break, so co-located POIs still order stably.
-std::vector<uint32_t> AssignShards(const SeOracle& oracle,
+std::vector<uint32_t> AssignShards(const OracleView& oracle,
                                    const PackBuildOptions& options) {
   const size_t n = oracle.num_pois();
   const uint64_t shards = options.num_shards;
@@ -37,7 +37,7 @@ std::vector<uint32_t> AssignShards(const SeOracle& oracle,
     // shard covers a contiguous slab of the terrain along the sort axis.
     std::vector<uint32_t> order(n);
     std::iota(order.begin(), order.end(), 0u);
-    const std::vector<SurfacePoint>& pois = oracle.pois();
+    const std::span<const SurfacePoint> pois = oracle.pois();
     std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
       const Vec3& pa = pois[a].pos;
       const Vec3& pb = pois[b].pos;
@@ -82,7 +82,7 @@ const char* PackPolicyName(PackPolicy policy) {
   return "unknown";
 }
 
-StatusOr<std::string> SerializeOraclePack(const SeOracle& oracle,
+StatusOr<std::string> SerializeOraclePack(const OracleView& oracle,
                                           const PackBuildOptions& options) {
   const uint32_t num_shards = options.num_shards;
   if (num_shards == 0 || num_shards > kPackMaxShards) {
@@ -98,7 +98,7 @@ StatusOr<std::string> SerializeOraclePack(const SeOracle& oracle,
     return Status::InvalidArgument("unknown pack policy");
   }
 
-  const CompressedTree& tree = oracle.tree();
+  const CompressedTreeView& tree = oracle.tree();
   const std::vector<uint32_t> shard_of_poi = AssignShards(oracle, options);
   std::vector<uint32_t> shard_of_node(tree.num_nodes());
   for (uint32_t nd = 0; nd < tree.num_nodes(); ++nd) {
@@ -110,6 +110,9 @@ StatusOr<std::string> SerializeOraclePack(const SeOracle& oracle,
   // (a, b) order and the per-shard hash build is deterministic.
   std::vector<std::vector<NodePair>> shard_pairs(num_shards);
   for (const NodePair& pair : oracle.pair_set().pairs()) {
+    if (pair.a >= tree.num_nodes() || pair.b >= tree.num_nodes()) {
+      return Status::InvalidArgument("flat oracle: pair node id range");
+    }
     shard_pairs[shard_of_node[pair.a]].push_back(pair);
   }
 
@@ -127,8 +130,8 @@ StatusOr<std::string> SerializeOraclePack(const SeOracle& oracle,
     if (!hash.ok()) return hash.status();
     NodePairSet set = NodePairSet::FromParts(std::move(shard_pairs[s]),
                                              std::move(*hash));
-    shard_blobs.push_back(SerializeSeOracleFlat(oracle.epsilon(),
-                                                oracle.pois(), tree, set));
+    shard_blobs.push_back(SerializeSeOracleFlat(
+        oracle.epsilon(), oracle.pois(), tree, set.view()));
   }
 
   PackMeta meta{};
@@ -196,7 +199,8 @@ StatusOr<std::string> SerializeOraclePack(const SeOracle& oracle,
   return out;
 }
 
-Status SaveOraclePack(const SeOracle& oracle, const PackBuildOptions& options,
+Status SaveOraclePack(const OracleView& oracle,
+                      const PackBuildOptions& options,
                       const std::string& path) {
   StatusOr<std::string> blob = SerializeOraclePack(oracle, options);
   if (!blob.ok()) return blob.status();

@@ -13,7 +13,6 @@
 #include "oracle/distance_query.h"
 #include "oracle/oracle_view.h"
 #include "oracle/pack_format.h"
-#include "oracle/se_oracle.h"
 
 namespace tso {
 
@@ -28,14 +27,17 @@ struct PackBuildOptions {
   PackPolicy policy = PackPolicy::kPoiRange;
 };
 
-/// Serializes `oracle` into an oracle pack (pack_format.h): the node-pair
-/// set is partitioned into `num_shards` standalone TSOFLAT shards behind
-/// one section table. Deterministic: the same oracle and options always
-/// produce byte-identical output.
-StatusOr<std::string> SerializeOraclePack(const SeOracle& oracle,
+/// Serializes `oracle` (a built SeOracle or an opened flat file) into an
+/// oracle pack (pack_format.h): the node-pair set is partitioned into
+/// `num_shards` standalone TSOFLAT shards behind one section table.
+/// Deterministic: the same oracle and options always produce byte-identical
+/// output. A pair naming a node outside the tree is InvalidArgument (an
+/// opened view does not scan pair ids).
+StatusOr<std::string> SerializeOraclePack(const OracleView& oracle,
                                           const PackBuildOptions& options);
 
-Status SaveOraclePack(const SeOracle& oracle, const PackBuildOptions& options,
+Status SaveOraclePack(const OracleView& oracle,
+                      const PackBuildOptions& options,
                       const std::string& path);
 
 /// Parsed header + section table of a pack, exposed for `tso inspect`.
@@ -91,7 +93,7 @@ class PackView {
   }
 
   /// ε-approximate distance between POIs s and t: the same O(h) query as
-  /// SeOracle::Distance, with each pair probe routed to its owning shard.
+  /// OracleView::Distance, with each pair probe routed to its owning shard.
   StatusOr<double> Distance(uint32_t s, uint32_t t) const {
     static thread_local QueryScratch scratch;
     return Distance(s, t, scratch);

@@ -6,10 +6,8 @@
 
 namespace tso {
 
-// Note: this file is the query-time half of the oracle split. All build
-// machinery (enhanced edges, worker pools, distance memos) lives in
-// oracle/se_oracle_builder.cc; the query algorithms themselves live in
-// oracle/distance_query.cc, shared with the zero-copy OracleView.
+// All build machinery (enhanced edges, worker pools, distance memos) lives
+// in oracle/se_oracle_builder.cc; queries are OracleView's.
 
 const char* ConstructionMethodName(ConstructionMethod m) {
   switch (m) {
@@ -29,45 +27,6 @@ StatusOr<SeOracle> SeOracle::Build(const TerrainMesh& mesh,
   SeOracleBuilder builder(mesh, solver, options);
   StatusOr<SeOracle> oracle = builder.Build(std::move(pois));
   if (stats != nullptr) *stats = builder.stats();
-  return oracle;
-}
-
-Status SeOracle::CheckQueryIds(uint32_t s, uint32_t t) const {
-  if (s >= pois_.size() || t >= pois_.size()) {
-    return Status::InvalidArgument("POI index out of range");
-  }
-  return Status::Ok();
-}
-
-StatusOr<double> SeOracle::Distance(uint32_t s, uint32_t t) const {
-  static thread_local QueryScratch scratch;
-  return Distance(s, t, scratch);
-}
-
-StatusOr<double> SeOracle::Distance(uint32_t s, uint32_t t,
-                                    QueryScratch& scratch) const {
-  TSO_RETURN_IF_ERROR(CheckQueryIds(s, t));
-  return OracleDistance(tree_.view(), pairs_.view(), s, t, scratch);
-}
-
-StatusOr<double> SeOracle::DistanceNaive(uint32_t s, uint32_t t) const {
-  static thread_local QueryScratch scratch;
-  return DistanceNaive(s, t, scratch);
-}
-
-StatusOr<double> SeOracle::DistanceNaive(uint32_t s, uint32_t t,
-                                         QueryScratch& scratch) const {
-  TSO_RETURN_IF_ERROR(CheckQueryIds(s, t));
-  return OracleDistanceNaive(tree_.view(), pairs_.view(), s, t, scratch);
-}
-
-SeOracle SeOracle::FromParts(double epsilon, std::vector<SurfacePoint> pois,
-                             CompressedTree tree, NodePairSet pairs) {
-  SeOracle oracle;
-  oracle.epsilon_ = epsilon;
-  oracle.pois_ = std::move(pois);
-  oracle.tree_ = std::move(tree);
-  oracle.pairs_ = std::move(pairs);
   return oracle;
 }
 

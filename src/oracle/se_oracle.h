@@ -2,15 +2,11 @@
 #define TSO_ORACLE_SE_ORACLE_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <utility>
 #include <vector>
 
-#include "base/rng.h"
 #include "geodesic/solver.h"
-#include "oracle/compressed_tree.h"
-#include "oracle/distance_query.h"
-#include "oracle/node_pair_set.h"
+#include "oracle/oracle_view.h"
 #include "oracle/partition_tree.h"
 
 namespace tso {
@@ -80,23 +76,21 @@ struct SeBuildStats {
 /// by a perfect hash. Answers POI-to-POI ε-approximate geodesic distance
 /// queries in O(h) probes (h = tree height, < 30 in practice).
 ///
-/// This is the owning in-memory representation. Construction lives in
-/// SeOracleBuilder (oracle/se_oracle_builder.h); the query logic is shared
-/// with the zero-copy OracleView (oracle/oracle_view.h) through the view
-/// forms of the components, so a mapped oracle file answers bit-identically.
+/// A built SeOracle is an OracleView that owns its flat-format bytes:
+/// SeOracleBuilder (oracle/se_oracle_builder.h) builds the components,
+/// serializes them once, and every query then runs the same code over the
+/// same bytes as a mapped oracle file — SaveSeOracleFlat writes exactly
+/// buffer(). Copies share the bytes.
 ///
 /// Usage:
 ///   MmpSolver solver(mesh);
 ///   auto oracle = SeOracle::Build(mesh, pois, solver, {.epsilon = 0.1});
 ///   double d = oracle->Distance(3, 17).value();
 ///
-/// Thread safety: a built SeOracle is immutable, and every query method is
-/// const, re-entrant, and safe to call concurrently from any number of
-/// threads. The scratch-taking overloads require one QueryScratch per
-/// thread (a scratch must not be shared between simultaneous calls); the
-/// scratch-free overloads use a thread_local scratch internally. For bulk
-/// workloads see DistanceBatch() in query/batch.h.
-class SeOracle {
+/// Thread safety: as OracleView — immutable, every query const, re-entrant
+/// and safe to call concurrently. For bulk workloads see DistanceBatch() in
+/// query/batch.h.
+class SeOracle : public OracleView {
  public:
   /// Builds SE over `pois` using `solver` as the geodesic engine (one of
   /// the SSAD algorithms). The guarantee: for any POIs s, t,
@@ -108,49 +102,9 @@ class SeOracle {
                                   const SeOracleOptions& options,
                                   SeBuildStats* stats = nullptr);
 
-  /// ε-approximate distance between POIs s and t — the efficient O(h)
-  /// query of §3.4 (same-layer scan + first-higher + first-lower passes).
-  /// Uses a thread_local QueryScratch; re-entrant.
-  StatusOr<double> Distance(uint32_t s, uint32_t t) const;
-
-  /// Same query with a caller-owned workspace (one per thread).
-  StatusOr<double> Distance(uint32_t s, uint32_t t,
-                            QueryScratch& scratch) const;
-
-  /// The O(h²) naive query of §3.4 (scans A_s × A_t). Same answers; used as
-  /// the SE-Naive baseline and in ablation benchmarks. Re-entrant.
-  StatusOr<double> DistanceNaive(uint32_t s, uint32_t t) const;
-
-  /// Naive query with a caller-owned workspace (one per thread).
-  StatusOr<double> DistanceNaive(uint32_t s, uint32_t t,
-                                 QueryScratch& scratch) const;
-
-  double epsilon() const { return epsilon_; }
-  size_t num_pois() const { return pois_.size(); }
-  int height() const { return tree_.height(); }
-  const std::vector<SurfacePoint>& pois() const { return pois_; }
-  const CompressedTree& tree() const { return tree_; }
-  const NodePairSet& pair_set() const { return pairs_; }
-
-  /// Total memory footprint of the oracle (the paper's "oracle size").
-  size_t SizeBytes() const {
-    return tree_.SizeBytes() + pairs_.SizeBytes() +
-           pois_.size() * sizeof(SurfacePoint);
-  }
-
-  // For serialization (oracle_serde.cc) and SeOracleBuilder.
-  static SeOracle FromParts(double epsilon, std::vector<SurfacePoint> pois,
-                            CompressedTree tree, NodePairSet pairs);
-
  private:
-  SeOracle() = default;
-
-  Status CheckQueryIds(uint32_t s, uint32_t t) const;
-
-  double epsilon_ = 0.0;
-  std::vector<SurfacePoint> pois_;
-  CompressedTree tree_;
-  NodePairSet pairs_;
+  friend class SeOracleBuilder;
+  explicit SeOracle(OracleView view) : OracleView(std::move(view)) {}
 };
 
 }  // namespace tso

@@ -12,6 +12,9 @@
 
 #include "base/logging.h"
 #include "base/timer.h"
+#include "oracle/compressed_tree.h"
+#include "oracle/node_pair_set.h"
+#include "oracle/oracle_serde.h"
 
 namespace tso {
 namespace {
@@ -465,11 +468,13 @@ StatusOr<SeOracle> SeOracleBuilder::Build(std::vector<SurfacePoint> pois) {
   st.node_pairs = pair_stats.pairs_final;
   st.pairs_considered = pair_stats.pairs_considered;
 
-  SeOracle oracle = SeOracle::FromParts(epsilon, std::move(pois),
-                                        std::move(compressed),
-                                        std::move(*pairs));
+  // The owned build structures end here: the oracle is their flat-format
+  // bytes, queried exactly as a mapped file of them would be.
+  StatusOr<OracleView> view = OracleView::FromBytes(SerializeSeOracleFlat(
+      epsilon, pois, compressed.view(), pairs->view()));
+  if (!view.ok()) return view.status();
   st.total_seconds = total_timer.ElapsedSeconds();
-  return oracle;
+  return SeOracle(std::move(*view));
 }
 
 }  // namespace tso

@@ -10,9 +10,10 @@ namespace tso {
 /// The build-time half of the oracle split: owns the references to the mesh
 /// and geodesic solver, the construction options, and every piece of
 /// mutable build state (worker solver pools, distance memos, enhanced-edge
-/// scratch). The product — an immutable SeOracle — carries none of that:
-/// once built it is pure query-time data, serializable to the flat format
-/// and servable zero-copy through OracleView.
+/// scratch), and the owned components (CompressedTree, NodePairSet) until
+/// the end of Build. The product — an immutable SeOracle — carries none of
+/// that: it is the flat-format bytes of the components, queried through
+/// OracleView.
 ///
 /// A builder is single-use bookkeeping around one build (stats() refers to
 /// the most recent Build call), but may be reused to build oracles over

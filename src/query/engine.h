@@ -10,7 +10,6 @@
 #include "oracle/distance_query.h"
 #include "oracle/oracle_view.h"
 #include "oracle/pack_view.h"
-#include "oracle/se_oracle.h"
 
 namespace tso {
 
@@ -42,10 +41,10 @@ class DistanceOverlay {
   virtual uint32_t BaseIndex(uint32_t id) const = 0;
 };
 
-/// The one oracle interface the query engines consume. Every representation
-/// of the SE oracle — the owning SeOracle, the zero-copy OracleView over a
-/// mapped file, and the multi-shard PackView over an oracle pack — flattens
-/// to the same four ingredients: ε, the POI table, the compressed partition
+/// The one oracle interface the query engines consume. Both representations
+/// of the SE oracle — the OracleView over flat bytes (a mapped file, or a
+/// built SeOracle's own bytes) and the multi-shard PackView over an oracle
+/// pack — flatten to the same four ingredients: ε, the POI table, the compressed partition
 /// tree, and a PairSource to probe. DistanceSource carries exactly those,
 /// by view (non-owning, 2 pointers per span): the kNN / range / batch
 /// engines in query/ are written once against it instead of being
@@ -63,7 +62,7 @@ class DistanceOverlay {
 /// skip dead candidates.
 ///
 /// Lifetime: a DistanceSource borrows from the representation it was made
-/// from; the SeOracle / OracleView / PackView (and overlay, if any) must
+/// from; the OracleView / PackView (and overlay, if any) must
 /// outlive it. Thread safety: immutable, freely shared across threads; the
 /// scratch-taking Distance requires one QueryScratch per thread.
 class DistanceSource {
@@ -148,13 +147,8 @@ class DistanceSource {
   const DistanceOverlay* overlay_ = nullptr;
 };
 
-/// Flattens an owning SeOracle to the unified query interface.
-inline DistanceSource MakeSource(const SeOracle& oracle) {
-  return DistanceSource(oracle.epsilon(), oracle.pois(), oracle.tree().view(),
-                        oracle.pair_set().view());
-}
-
-/// Flattens a mapped OracleView to the unified query interface.
+/// Flattens an OracleView (a mapped file or a built SeOracle) to the
+/// unified query interface.
 inline DistanceSource MakeSource(const OracleView& view) {
   return DistanceSource(view.epsilon(), view.pois(), view.tree(),
                         view.pair_set());

@@ -358,7 +358,7 @@ TEST(DynamicOracle, FromSourceMountSupportsChurn) {
       fx.solver->PointToPoint(extra[0], fx.ds->pois[3]).value();
   EXPECT_NEAR(*(*dyn)->Distance(*id, 3), truth, 1e-6 * (1.0 + truth));
   ASSERT_TRUE((*dyn)->Remove(0).ok());
-  // Compaction re-bases onto an owned SeOracle; the borrowed source is no
+  // Compaction re-bases onto a built SeOracle; the borrowed source is no
   // longer referenced afterwards.
   ASSERT_TRUE((*dyn)->Compact().ok());
   EXPECT_TRUE((*dyn)->Distance(*id, 3).ok());

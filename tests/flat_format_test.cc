@@ -1,5 +1,5 @@
 // The zero-copy oracle path: OracleView over the flat format must answer
-// bit-identically to the owning SeOracle it was serialized from, across the
+// bit-identically to the built SeOracle it was serialized from, across the
 // full query surface (Distance / kNN / range / batch), and must fail with a
 // clean Status — never crash or read garbage — on truncated or corrupted
 // input. The corruption loops below cut the file at every section boundary
@@ -157,16 +157,20 @@ TEST(FlatFormat, OpenServesFromMappedFile) {
   EXPECT_EQ(*copy.Distance(0, 19), *fx.oracle->Distance(0, 19));
 }
 
-TEST(FlatFormat, MaterializeRoundTripsByteIdentically) {
+TEST(FlatFormat, OwnedBytesRoundTripByteIdentically) {
   FlatFixture& fx = Fixture();
-  StatusOr<SeOracle> back = MaterializeSeOracle(fx.blob);
+  StatusOr<OracleView> back =
+      OracleView::FromBytes(fx.blob, {.verify_checksums = true});
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(SerializeSeOracleFlat(*back), fx.blob);
+  EXPECT_EQ(SerializeSeOracleFlat(back->epsilon(), back->pois(), back->tree(),
+                                  back->pair_set()),
+            fx.blob);
   EXPECT_EQ(*back->Distance(2, 7), *fx.oracle->Distance(2, 7));
-  // LoadSeOracle reads and materializes a saved flat file.
+  // Open with checksums on reads a saved flat file.
   const std::string path = testing::TempDir() + "/oracle_auto.tso";
   ASSERT_TRUE(SaveSeOracleFlat(*fx.oracle, path).ok());
-  StatusOr<SeOracle> loaded = LoadSeOracle(path);
+  StatusOr<OracleView> loaded =
+      OracleView::Open(path, {.verify_checksums = true});
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(*loaded->Distance(2, 7), *fx.oracle->Distance(2, 7));
 }
@@ -197,8 +201,9 @@ TEST(FlatFormat, TruncationAtEverySectionBoundaryFailsCleanly) {
     const std::string truncated = fx.blob.substr(0, cut);
     StatusOr<OracleView> view = OracleView::FromBuffer(truncated);
     EXPECT_FALSE(view.ok()) << "cut=" << cut;
-    StatusOr<SeOracle> mat = MaterializeSeOracle(truncated);
-    EXPECT_FALSE(mat.ok()) << "cut=" << cut;
+    StatusOr<OracleView> owned =
+        OracleView::FromBytes(truncated, {.verify_checksums = true});
+    EXPECT_FALSE(owned.ok()) << "cut=" << cut;
   }
   // Trailing garbage changes file_size vs header and must also fail.
   EXPECT_FALSE(OracleView::FromBuffer(fx.blob + "zz").ok());
@@ -312,7 +317,8 @@ TEST(FlatFormat, LoadRejectsNonOracleFile) {
       std::ofstream out(path, std::ios::binary);
       out << bytes;
     }
-    StatusOr<SeOracle> loaded = LoadSeOracle(path);
+    StatusOr<OracleView> loaded =
+        OracleView::Open(path, {.verify_checksums = true});
     ASSERT_FALSE(loaded.ok()) << bytes.size();
     EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
         << loaded.status().ToString();

@@ -1,9 +1,10 @@
 // Format-stability gate: the on-disk oracle format is a frozen contract.
 // Golden files (tests/golden/) are loaded and re-serialized; any byte
 // difference means the format changed and kFlatFormatVersion /
-// kFlatFormatMinorVersion must be bumped and the goldens regenerated. Loading + re-serializing involves no floating-point
-// computation, so these comparisons are exact on every platform. The CI
-// `format-stability` job runs this suite as a blocking gate.
+// kFlatFormatMinorVersion must be bumped and the goldens regenerated.
+// Loading + re-serializing involves no floating-point computation, so these
+// comparisons are exact on every platform. The CI `format-stability` job
+// runs this suite as a blocking gate.
 //
 // Two flat goldens are checked in:
 //   oracle-v1.tsoflat    minor 0 (10 sections, no ancestor table) —
@@ -12,8 +13,9 @@
 //     It is the backward-compatibility gate: current readers must keep
 //     opening and answering from it forever (within major version 1).
 //   oracle-v1.1.tsoflat  minor 1 (11 sections, + ancestors) — the same
-//     oracle re-serialized by the current writer (materialize + serialize,
-//     no FP). It is the byte-identity gate for what the writer emits today.
+//     oracle re-serialized by the current writer (open + serialize the
+//     view's components, no FP). It is the byte-identity gate for what the
+//     writer emits today.
 
 #include <fstream>
 #include <sstream>
@@ -31,6 +33,17 @@
 
 namespace tso {
 namespace {
+
+/// Opens `blob` with checksums on and writes its components back out with
+/// the current flat writer; empty if the blob does not open.
+std::string Reserialize(std::string blob) {
+  StatusOr<OracleView> view =
+      OracleView::FromBytes(std::move(blob), {.verify_checksums = true});
+  EXPECT_TRUE(view.ok()) << view.status().ToString();
+  if (!view.ok()) return "";
+  return SerializeSeOracleFlat(view->epsilon(), view->pois(), view->tree(),
+                               view->pair_set());
+}
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -86,15 +99,13 @@ TEST(FormatStability, GoldenMinor1OpensAndValidates) {
 }
 
 TEST(FormatStability, CurrentWriterMatchesMinor1GoldenByteForByte) {
-  // Materializing EITHER golden and re-serializing must reproduce the
-  // minor-1 golden exactly: the writer always emits the current minor
-  // version, and materialization drops the (recomputable) ancestor table.
+  // Opening EITHER golden and re-serializing its components must reproduce
+  // the minor-1 golden exactly: the writer always emits the current minor
+  // version and recomputes the ancestor table from the tree.
   const std::string minor1 = GoldenFlatMinor1();
   ASSERT_FALSE(minor1.empty());
   for (const std::string& blob : {GoldenFlatMinor0(), minor1}) {
-    StatusOr<SeOracle> oracle = MaterializeSeOracle(blob);
-    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-    const std::string reserialized = SerializeSeOracleFlat(*oracle);
+    const std::string reserialized = Reserialize(blob);
     ASSERT_EQ(reserialized.size(), minor1.size())
         << "flat format layout drifted — bump kFlatFormatMinorVersion (or "
            "the major version) and regenerate tests/golden/";
@@ -105,15 +116,16 @@ TEST(FormatStability, CurrentWriterMatchesMinor1GoldenByteForByte) {
 }
 
 TEST(FormatStability, GoldenFormatsAgreeOnEveryQuery) {
-  // Both golden files hold the same oracle: both mapped flat minors (walk
-  // path vs ancestor-table path) and the owning oracle materialized from
+  // Both golden files hold the same oracle: both borrowed flat minors (walk
+  // path vs ancestor-table path) and an owning, checksum-verified view of
   // minor 1 must agree bit-for-bit on every distance (queries only read
   // stored doubles — no FP arithmetic — so exact equality is portable).
   const std::string minor0 = GoldenFlatMinor0();
   const std::string minor1 = GoldenFlatMinor1();
   StatusOr<OracleView> v0 = OracleView::FromBuffer(minor0);
   StatusOr<OracleView> v1 = OracleView::FromBuffer(minor1);
-  StatusOr<SeOracle> oracle = MaterializeSeOracle(minor1);
+  StatusOr<OracleView> oracle =
+      OracleView::FromBytes(minor1, {.verify_checksums = true});
   ASSERT_TRUE(v0.ok() && v1.ok() && oracle.ok());
   ASSERT_EQ(v0->num_pois(), oracle->num_pois());
   ASSERT_EQ(v1->num_pois(), oracle->num_pois());
@@ -146,14 +158,12 @@ TEST(FormatStability, GoldenSpotChecksMatchRecordedValues) {
 }
 
 TEST(FormatStability, FreshBuildSaveLoadSaveIsByteStable) {
-  // Independent of which golden seeded it: any oracle serialized,
-  // materialized, and re-serialized must be byte-stable.
+  // Independent of which golden seeded it: any oracle serialized, opened,
+  // and re-serialized must be byte-stable.
   const std::string flat = GoldenFlatMinor1();
-  StatusOr<SeOracle> oracle = MaterializeSeOracle(flat);
-  ASSERT_TRUE(oracle.ok());
-  StatusOr<SeOracle> again = MaterializeSeOracle(SerializeSeOracleFlat(*oracle));
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(SerializeSeOracleFlat(*again), flat);
+  const std::string once = Reserialize(flat);
+  ASSERT_FALSE(once.empty());
+  EXPECT_EQ(Reserialize(once), flat);
 }
 
 }  // namespace

@@ -6,7 +6,10 @@
 // every probe returns the same stored double, so exact equality (==, not
 // near) is the correct assertion.
 
+#include <cstddef>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "oracle/pack_view.h"
 #include "query/batch.h"
 #include "terrain/dataset.h"
+#include "flat_reseal.h"
 
 namespace tso {
 namespace {
@@ -214,6 +218,43 @@ TEST(PackFormat, OpenRoundTripsThroughAFile) {
   EXPECT_EQ(pack->num_shards(), 3u);
   EXPECT_EQ(*pack->Distance(0, 1), *Fixture().oracle->Distance(0, 1));
   std::remove(path.c_str());
+}
+
+TEST(PackFormat, OutOfRangePairIdInFlatInputRejected) {
+  // An opened view does not scan pair ids, and the pack writer indexes its
+  // node-to-shard table with them: a checksum-valid flat file naming a node
+  // outside the tree must be InvalidArgument, not an out-of-bounds read.
+  const std::string flat = SerializeSeOracleFlat(*Fixture().oracle);
+  StatusOr<FlatFileInfo> info = ReadFlatFileInfo(flat);
+  ASSERT_TRUE(info.ok());
+  uint64_t pairs_offset = 0;
+  for (const FlatSectionEntry& e : info->sections) {
+    if (e.id == kFlatPairs) pairs_offset = e.offset;
+  }
+  ASSERT_NE(pairs_offset, 0u);
+  const uint32_t num_nodes =
+      static_cast<uint32_t>(Fixture().oracle->tree().num_nodes());
+  for (size_t field : {offsetof(NodePair, a), offsetof(NodePair, b)}) {
+    std::string bad = flat;
+    std::memcpy(bad.data() + pairs_offset + field, &num_nodes,
+                sizeof(num_nodes));
+    ResealFlatChecksums(&bad);
+    const std::string path = ::testing::TempDir() + "/bad_pair_id.tso";
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << bad;
+    }
+    StatusOr<OracleView> view =
+        OracleView::Open(path, {.verify_checksums = true});
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    PackBuildOptions options;
+    options.num_shards = 3;
+    StatusOr<std::string> pack = SerializeOraclePack(*view, options);
+    ASSERT_FALSE(pack.ok()) << "field offset " << field;
+    EXPECT_EQ(pack.status().code(), StatusCode::kInvalidArgument)
+        << pack.status().ToString();
+    std::remove(path.c_str());
+  }
 }
 
 // Corruption robustness: truncations at every section boundary and byte

@@ -4,18 +4,21 @@
 // honor levels, and degenerate inputs must be rejected rather than crash.
 
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "base/crc32.h"
 #include "base/failpoint.h"
 #include "base/logging.h"
 #include "base/rng.h"
 #include "base/timer.h"
 #include "geodesic/dijkstra_solver.h"
 #include "geodesic/mmp_solver.h"
+#include "mesh/mesh_builder.h"
+#include "mesh/mesh_io.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "net/wire.h"
@@ -25,28 +28,10 @@
 #include "oracle/se_oracle.h"
 #include "serve/engine.h"
 #include "terrain/dataset.h"
+#include "flat_reseal.h"
 
 namespace tso {
 namespace {
-
-/// Recomputes every section CRC and the section-table CRC of a flat blob,
-/// so a corruption inside a section payload gets past the checksum pass and
-/// reaches structural validation. Blobs whose header or section table no
-/// longer parse are left as they are.
-void ResealFlatChecksums(std::string* blob) {
-  StatusOr<FlatFileInfo> info = ReadFlatFileInfo(*blob);
-  if (!info.ok()) return;
-  char* table = blob->data() + sizeof(FlatHeader);
-  for (size_t i = 0; i < info->sections.size(); ++i) {
-    FlatSectionEntry e = info->sections[i];
-    e.crc32 = Crc32(blob->data() + e.offset, e.size);
-    std::memcpy(table + i * sizeof(e), &e, sizeof(e));
-  }
-  FlatHeader header = info->header;
-  header.section_table_crc =
-      Crc32(table, info->sections.size() * sizeof(FlatSectionEntry));
-  std::memcpy(blob->data(), &header, sizeof(header));
-}
 
 TEST(SerdeFuzz, RandomByteFlipsNeverCrash) {
   StatusOr<Dataset> ds =
@@ -67,10 +52,11 @@ TEST(SerdeFuzz, RandomByteFlipsNeverCrash) {
     const size_t pos = rng.Uniform(corrupt.size());
     corrupt[pos] = static_cast<char>(rng.NextU64());
     // Odd trials keep the stale checksums (the CRC pass must reject any
-    // changed byte); even trials reseal them so the flip reaches the tree,
-    // pair and perfect-hash validation of the owning ingest.
+    // changed byte); even trials reseal them so the flip reaches the
+    // structural validation of the view and its guarded probes.
     if (trial % 2 == 0) ResealFlatChecksums(&corrupt);
-    StatusOr<SeOracle> loaded = MaterializeSeOracle(corrupt);
+    StatusOr<OracleView> loaded =
+        OracleView::FromBytes(corrupt, {.verify_checksums = true});
     // Either a clean error, or — if the flip hit a distance payload, an
     // unused field or alignment padding — a structurally valid oracle.
     // Never a crash.
@@ -99,7 +85,9 @@ TEST(SerdeFuzz, RandomTruncationsNeverCrash) {
   Rng rng(7);
   for (int trial = 0; trial < 100; ++trial) {
     const size_t cut = rng.Uniform(blob.size());
-    EXPECT_FALSE(MaterializeSeOracle(blob.substr(0, cut)).ok());
+    EXPECT_FALSE(OracleView::FromBytes(blob.substr(0, cut),
+                                       {.verify_checksums = true})
+                     .ok());
   }
 }
 
@@ -430,6 +418,136 @@ TEST(WireFuzz, RandomGarbageStreamsNeverCrash) {
 }
 
 // ---------------------------------------------------------------------------
+// Mesh ingest: ReadOff / ReadObj are the trust boundary for user meshes
+// (`tso build-oracle --mesh`). Every malformed input must come back as a
+// Status — never an exception, an abort or an unbounded allocation.
+
+std::string WriteMeshFile(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream(path, std::ios::binary) << text;
+  return path;
+}
+
+/// Reads `text` as `format` ("off" or "obj"); fails the test if the reader
+/// throws.
+StatusOr<TerrainMesh> ReadMeshText(const std::string& format,
+                                   const std::string& text) {
+  const std::string path = WriteMeshFile("meshfuzz." + format, text);
+  StatusOr<TerrainMesh> mesh = Status::Internal("reader threw");
+  EXPECT_NO_THROW(mesh = format == "off" ? ReadOff(path) : ReadObj(path))
+      << text;
+  return mesh;
+}
+
+void ExpectRejected(const std::string& format, const std::string& text,
+                    const std::string& message_part) {
+  StatusOr<TerrainMesh> mesh = ReadMeshText(format, text);
+  ASSERT_FALSE(mesh.ok()) << text;
+  EXPECT_EQ(mesh.status().code(), StatusCode::kInvalidArgument) << text;
+  EXPECT_NE(mesh.status().message().find(message_part), std::string::npos)
+      << mesh.status().ToString();
+}
+
+const char kObjTriangle[] = "v 0 0 0\nv 1 0 0\nv 0 1 0\n";
+
+TEST(MeshFuzz, ObjFaceIndicesAreParsedWithoutExceptions) {
+  ASSERT_TRUE(ReadMeshText("obj", std::string(kObjTriangle) + "f 1 2 3\n")
+                  .ok());
+  for (const char* face :
+       {"f 1 2 x\n", "f 1 2 99999999999999999999\n", "f 1 2 4294967296\n",
+        "f 0 1 2\n", "f -1 2 3\n", "f 1 2 3x\n", "f 1 2 /3\n"}) {
+    ExpectRejected("obj", std::string(kObjTriangle) + face,
+                   "bad vertex index in OBJ face 0");
+  }
+  // The largest index that fits a uint32 parses, then fails as a missing
+  // vertex in mesh validation.
+  ExpectRejected("obj", std::string(kObjTriangle) + "f 1 2 4294967295\n",
+                 "references missing vertex");
+}
+
+TEST(MeshFuzz, OffCountsAreBoundedByTheFileSize) {
+  ExpectRejected("off", "OFF\n999999999999 1 0\n0 0 0\n",
+                 "OFF counts exceed the file size");
+  ExpectRejected("off", "OFF\n3 999999999999 0\n0 0 0\n1 0 0\n0 1 0\n",
+                 "OFF counts exceed the file size");
+  ExpectRejected("off", "OFF\n18446744073709551615 18446744073709551615 0\n",
+                 "OFF counts exceed the file size");
+  ExpectRejected("off", "OFF\n-1 1 0\n", "bad OFF counts");
+  ExpectRejected("off", "OFF\n99999999999999999999 1 0\n", "bad OFF counts");
+}
+
+TEST(MeshFuzz, BadOffVertexIsReportedByIndex) {
+  const std::string face = "3 0 1 2\n";
+  ExpectRejected("off", "OFF\n3 1 0\n0 0 0\n1 x 0\n0 1 0\n" + face,
+                 "bad coordinate in OFF vertex 1");
+  ExpectRejected("off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0,\n" + face,
+                 "bad coordinate in OFF vertex 2");
+  ExpectRejected("off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n4 0 1 2 0\n",
+                 "not a triangle in OFF face 0");
+  ExpectRejected("off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 x\n",
+                 "bad vertex index in OFF face 0");
+}
+
+TEST(MeshFuzz, NonFiniteCoordinatesAreRejected) {
+  for (const char* bad : {"nan", "-nan", "inf", "-inf", "1e999", "-1e999"}) {
+    ExpectRejected("off",
+                   std::string("OFF\n3 1 0\n0 0 0\n") + bad +
+                       " 0 0\n0 1 0\n3 0 1 2\n",
+                   "non-finite coordinate in OFF vertex 1");
+    ExpectRejected("obj",
+                   std::string("v 0 0 0\nv 1 0 0\nv 0 1 ") + bad +
+                       "\nf 1 2 3\n",
+                   "non-finite coordinate in OBJ vertex 2");
+  }
+}
+
+/// The writers' own output for a small grid mesh, as the fuzz corpus.
+std::string WriterOutput(const std::string& format) {
+  StatusOr<TerrainMesh> mesh = MeshFromFunction(
+      5, 4, 1.5, [](double x, double y) { return 0.1 * x * y + 0.05 * x; });
+  TSO_CHECK(mesh.ok());
+  const std::string path = ::testing::TempDir() + "/meshfuzz_src." + format;
+  TSO_CHECK((format == "off" ? WriteOff(*mesh, path) : WriteObj(*mesh, path))
+                .ok());
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Seeded 1–3 byte flips of the writer output: every trial returns a
+/// Status (ReadMeshText fails the test on a throw).
+void FuzzByteFlips(const std::string& format) {
+  const std::string text = WriterOutput(format);
+  ASSERT_TRUE(ReadMeshText(format, text).ok());
+  Rng rng(2024);
+  int rejected = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::string corrupt = text;
+    for (uint64_t flips = 1 + rng.Uniform(3); flips > 0; --flips) {
+      corrupt[rng.Uniform(corrupt.size())] = static_cast<char>(rng.NextU64());
+    }
+    if (!ReadMeshText(format, corrupt).ok()) ++rejected;
+  }
+  // A flip inside a digit can leave a valid mesh; not every flip can.
+  EXPECT_GT(rejected, 0);
+}
+
+/// Seeded truncations of the writer output.
+void FuzzTruncations(const std::string& format) {
+  const std::string text = WriterOutput(format);
+  Rng rng(77);
+  for (int trial = 0; trial < 200; ++trial) {
+    (void)ReadMeshText(format, text.substr(0, rng.Uniform(text.size())));
+  }
+  // A cut inside the first records leaves too few vertices or faces.
+  EXPECT_FALSE(ReadMeshText(format, text.substr(0, 10)).ok());
+}
+
+TEST(MeshFuzz, OffByteFlipsReturnStatus) { FuzzByteFlips("off"); }
+TEST(MeshFuzz, ObjByteFlipsReturnStatus) { FuzzByteFlips("obj"); }
+TEST(MeshFuzz, OffTruncationsReturnStatus) { FuzzTruncations("off"); }
+TEST(MeshFuzz, ObjTruncationsReturnStatus) { FuzzTruncations("obj"); }
+
 // Socket-fault injection: the net.read / net.write failpoints fire inside
 // ReadFull/ReadSome/WriteFull. An injected fault must surface as a clean
 // Status on the affected connection; the server must keep serving fresh
@@ -575,7 +693,8 @@ TEST(SeOracle, SingletonPoiOracle) {
   EXPECT_EQ(*oracle->Distance(0, 0), 0.0);
   EXPECT_FALSE(oracle->Distance(0, 1).ok());
   // Round-trips too.
-  StatusOr<SeOracle> back = MaterializeSeOracle(SerializeSeOracleFlat(*oracle));
+  StatusOr<OracleView> back = OracleView::FromBytes(
+      SerializeSeOracleFlat(*oracle), {.verify_checksums = true});
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back->Distance(0, 0), 0.0);
 }

@@ -1,6 +1,8 @@
 #include "oracle/se_oracle.h"
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -396,13 +398,51 @@ TEST(SeOracle, SsadBatchClampedForSolversWithoutNativeBatching) {
   EXPECT_EQ(*oracle.Distance(0, 0), 0.0);
 }
 
+TEST(SeOracle, OwnsItsBytes) {
+  // A built oracle is an OracleView over its own TSOFLAT bytes: moves hand
+  // the bytes over, and answers survive the destruction of the source.
+  OracleFixture fx(12, 83);
+  SeOracleOptions options;
+  options.epsilon = 0.25;
+  SeOracle reference = fx.BuildOracle(options);
+  const size_t n = reference.num_pois();
+  std::vector<double> expected;
+  for (uint32_t s = 0; s < n; ++s) {
+    for (uint32_t t = 0; t < n; ++t) {
+      expected.push_back(*reference.Distance(s, t));
+    }
+  }
+  auto expect_answers = [&](const SeOracle& oracle) {
+    size_t i = 0;
+    for (uint32_t s = 0; s < n; ++s) {
+      for (uint32_t t = 0; t < n; ++t) {
+        EXPECT_EQ(*oracle.Distance(s, t), expected[i++]) << s << "," << t;
+      }
+    }
+  };
+
+  auto source = std::make_unique<SeOracle>(fx.BuildOracle(options));
+  SeOracle moved(std::move(*source));
+  source.reset();
+  expect_answers(moved);
+
+  auto second = std::make_unique<SeOracle>(fx.BuildOracle(options));
+  moved = std::move(*second);
+  second.reset();
+  expect_answers(moved);
+
+  EXPECT_EQ(moved.SizeBytes(), SerializeSeOracleFlat(moved).size());
+  EXPECT_TRUE(moved.tree().has_ancestor_table());
+}
+
 TEST(SeOracleSerde, RoundTripAnswersIdentical) {
   OracleFixture fx(16, 67);
   SeOracleOptions options;
   options.epsilon = 0.1;
   SeOracle oracle = fx.BuildOracle(options);
   const std::string blob = SerializeSeOracleFlat(oracle);
-  StatusOr<SeOracle> back = MaterializeSeOracle(blob);
+  StatusOr<OracleView> back =
+      OracleView::FromBytes(blob, {.verify_checksums = true});
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->num_pois(), oracle.num_pois());
   EXPECT_EQ(back->epsilon(), oracle.epsilon());
@@ -421,7 +461,8 @@ TEST(SeOracleSerde, FileRoundTrip) {
   SeOracle oracle = fx.BuildOracle(options);
   const std::string path = testing::TempDir() + "/oracle.bin";
   ASSERT_TRUE(SaveSeOracleFlat(oracle, path).ok());
-  StatusOr<SeOracle> back = LoadSeOracle(path);
+  StatusOr<OracleView> back =
+      OracleView::Open(path, {.verify_checksums = true});
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back->Distance(1, 2), *oracle.Distance(1, 2));
 }
@@ -434,13 +475,15 @@ TEST(SeOracleSerde, CorruptInputRejected) {
   // Bad magic.
   std::string bad = blob;
   bad[0] = 'X';
-  EXPECT_FALSE(MaterializeSeOracle(bad).ok());
+  const OracleView::Options verify{.verify_checksums = true};
+  EXPECT_FALSE(OracleView::FromBytes(bad, verify).ok());
   // Truncations at many offsets must fail, never crash.
   for (size_t cut : {0ul, 1ul, 8ul, blob.size() / 2, blob.size() - 1}) {
-    EXPECT_FALSE(MaterializeSeOracle(blob.substr(0, cut)).ok()) << cut;
+    EXPECT_FALSE(OracleView::FromBytes(blob.substr(0, cut), verify).ok())
+        << cut;
   }
   // Trailing garbage.
-  EXPECT_FALSE(MaterializeSeOracle(blob + "zz").ok());
+  EXPECT_FALSE(OracleView::FromBytes(blob + "zz", verify).ok());
 }
 
 }  // namespace

@@ -305,10 +305,13 @@ TEST(SimdEquivalence, ProbeCountersLevelInvariant) {
 
 TEST(SimdEquivalence, AncestorTableMatchesWalk) {
   EquivFixture& fx = Fixture();
-  // The mapped view carries the minor-1 precomputed table; the owning
-  // oracle walks. Both must produce the same A_s arrays.
-  const CompressedTreeView walk_tree = fx.oracle->tree().view();
+  // The mapped view carries the minor-1 precomputed table; a table-less
+  // view over the same tree spans walks. Both must produce the same A_s
+  // arrays.
   const CompressedTreeView& table_tree = fx.view->tree();
+  const CompressedTreeView walk_tree(table_tree.nodes(),
+                                     table_tree.leaf_of_poi_map(),
+                                     table_tree.root(), table_tree.height());
   ASSERT_FALSE(walk_tree.has_ancestor_table());
   ASSERT_TRUE(table_tree.has_ancestor_table());
   std::vector<uint32_t> scratch;

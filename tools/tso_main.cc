@@ -557,15 +557,17 @@ int CmdPack(const Args& args) {
     std::fprintf(stderr, "tso: pack requires --oracle PATH\n");
     return 1;
   }
-  // Materialize the source flat oracle, reshard its node-pair set, and
-  // write the pack. Answers are bit-identical to the input for any shard
-  // count, so this is purely an operational reshaping.
+  // Open the source flat oracle (checksums verified: the pack writer reads
+  // every pair), reshard its node-pair set, and write the pack. Answers are
+  // bit-identical to the input for any shard count, so this is purely an
+  // operational reshaping.
   StatusOr<FileKind> kind = SniffFileKind(args.oracle_path);
   if (!kind.ok()) {
     std::fprintf(stderr, "tso: %s\n", kind.status().ToString().c_str());
     return 1;
   }
-  StatusOr<SeOracle> oracle = LoadSeOracle(args.oracle_path);
+  StatusOr<OracleView> oracle =
+      OracleView::Open(args.oracle_path, {.verify_checksums = true});
   if (!oracle.ok()) {
     std::fprintf(stderr, "tso: load: %s\n", oracle.status().ToString().c_str());
     return 1;
