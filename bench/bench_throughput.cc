@@ -19,7 +19,6 @@
 #include "base/failpoint.h"
 #include "base/histogram.h"
 #include "base/probe_stats.h"
-#include "base/simd.h"
 #include "bench/bench_common.h"
 #include "dyn/dynamic_oracle.h"
 #include "geodesic/dijkstra_solver.h"
@@ -129,12 +128,11 @@ void Run() {
         .Emit();
   }
 
-  // --- Workload 1c: deterministic probe pipeline counters ---
-  // The same serial sweep under a ProbeCounterScope. The counters describe
-  // the probe pipeline's shape (batches are always kProbeBatchWidth-lane
-  // regardless of dispatch), so every value is machine- and SIMD-level-
-  // independent — the CI gate pins them with zero tolerance. The dispatched
-  // level is emitted for the log only, not gated.
+  // --- Workload 1c: deterministic probe counters ---
+  // The same serial sweep under a ProbeCounterScope. Each query probes its
+  // §3.4 candidates in order and stops at the first stored pair, so the
+  // counts depend only on the oracle and the query prefix — the CI gate
+  // pins them with zero tolerance.
   {
     const size_t pc_queries = std::min<size_t>(pairs.size(), Scaled(20000));
     ProbeCounters counters;
@@ -149,22 +147,17 @@ void Run() {
       }
     }
     std::printf(
-        "probe_counters: %zu queries, %llu probes (%llu hits), %llu batches "
-        "x%zu lanes max, %llu prefetches [simd=%s]\n",
+        "probe_counters: %zu queries, %llu probes (%llu hits), %llu "
+        "prefetches\n",
         pc_queries, static_cast<unsigned long long>(counters.probes),
         static_cast<unsigned long long>(counters.hits),
-        static_cast<unsigned long long>(counters.batches), kProbeBatchWidth,
-        static_cast<unsigned long long>(counters.prefetches),
-        SimdLevelName(ActiveSimdLevel()));
+        static_cast<unsigned long long>(counters.prefetches));
     BenchJson("throughput")
         .Str("workload", "probe_counters")
         .Int("queries", pc_queries)
         .Int("probes", counters.probes)
         .Int("hits", counters.hits)
-        .Int("batches", counters.batches)
-        .Int("lanes", counters.lanes)
         .Int("prefetches", counters.prefetches)
-        .Str("simd", SimdLevelName(ActiveSimdLevel()))
         .Emit();
   }
 

@@ -12,12 +12,6 @@
 
 namespace tso {
 
-/// Lane count of the batched probe pipeline (PerfectHashView::LookupBatch).
-/// Fixed at 8 regardless of the dispatched SimdLevel so batch structure —
-/// and therefore the deterministic probe counters — never depend on the
-/// instruction set.
-inline constexpr size_t kProbeBatchWidth = 8;
-
 /// Non-owning FKS lookup over pointer+count table views: the single
 /// implementation of the two-level probe, shared by the owning PerfectHash
 /// (heap-backed vectors) and the zero-copy OracleView (spans into a mapped
@@ -58,17 +52,6 @@ class PerfectHashView {
     return found;
   }
 
-  /// Batched form of Lookup over n <= kProbeBatchWidth keys: hashes all
-  /// lanes in lock step (SSE2/AVX2 when available, scalar otherwise — the
-  /// dispatch only changes the arithmetic, never the staging), prefetches
-  /// every candidate bucket line before the first offset read and every
-  /// candidate slot line before the first compare, so the lanes' cache
-  /// misses overlap instead of serializing. found[i] != 0 iff keys[i] is
-  /// present, in which case values[i] is its value. Bit-identical to n
-  /// scalar Lookup calls at every SimdLevel.
-  void LookupBatch(const uint64_t* keys, size_t n, uint64_t* values,
-                   uint8_t* found) const;
-
   size_t size() const { return num_keys_; }
 
   // The tables this view probes, in the order the flat oracle format stores
@@ -89,12 +72,6 @@ class PerfectHashView {
     h ^= h >> 33;
     return h;
   }
-
-  /// out[i] = Mix(keys[i], muls[i]) for i < n, dispatched to the active
-  /// SimdLevel. Exposed for the equivalence tests; exact at every level
-  /// (the vector kernels implement the identical mod-2^64 arithmetic).
-  static void MixBatch(const uint64_t* keys, const uint64_t* muls, size_t n,
-                       uint64_t* out);
 
  private:
   bool LookupImpl(uint64_t key, uint64_t* value) const {

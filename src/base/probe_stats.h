@@ -5,25 +5,21 @@
 
 namespace tso {
 
-/// Deterministic counters for the probe pipeline. Every count is defined at
-/// the *pipeline* level, not the instruction level: a key pushed through the
-/// batched probe counts one probe, one lane, and the same number of
-/// prefetches at every SimdLevel (the scalar fallback walks the identical
-/// staged pipeline with scalar arithmetic). That invariance is what lets
-/// bench/baselines/ci-tiny.json gate these values with tolerance 0 across
-/// machines and TSO_NO_SIMD configurations.
+/// Deterministic counters for the query's probe path. A probe is one
+/// PerfectHashView::Lookup; the §3.4 query probes its candidates in order
+/// and stops at the first stored pair, so `probes` per query is the 1-based
+/// position of that pair in the candidate sequence and `hits` is exactly
+/// one per answered query. The counts depend only on the oracle and the
+/// queries, never on the machine, which is what lets
+/// bench/baselines/ci-tiny.json gate them with tolerance 0.
 struct ProbeCounters {
   uint64_t probes = 0;      ///< keys probed against a perfect-hash table
   uint64_t hits = 0;        ///< probes that found their key
-  uint64_t batches = 0;     ///< batched probe dispatches (<= 8 lanes each)
-  uint64_t lanes = 0;       ///< lane slots filled across batched dispatches
-  uint64_t prefetches = 0;  ///< software prefetches issued by probes + walks
+  uint64_t prefetches = 0;  ///< software prefetches issued by ancestor walks
 
   void Add(const ProbeCounters& o) {
     probes += o.probes;
     hits += o.hits;
-    batches += o.batches;
-    lanes += o.lanes;
     prefetches += o.prefetches;
   }
 };

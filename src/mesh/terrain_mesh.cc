@@ -17,6 +17,18 @@ uint64_t UndirectedKey(uint32_t u, uint32_t v) {
   return (static_cast<uint64_t>(u) << 32) | v;
 }
 
+/// True when two faces use the same three vertices, in any order.
+bool SameVertexSet(std::array<uint32_t, 3> x, std::array<uint32_t, 3> y) {
+  std::sort(x.begin(), x.end());
+  std::sort(y.begin(), y.end());
+  return x == y;
+}
+
+std::string EdgeName(uint32_t u, uint32_t v) {
+  return "edge (" + std::to_string(std::min(u, v)) + ", " +
+         std::to_string(std::max(u, v)) + ")";
+}
+
 }  // namespace
 
 StatusOr<TerrainMesh> TerrainMesh::FromSoup(
@@ -34,8 +46,10 @@ StatusOr<TerrainMesh> TerrainMesh::FromSoup(
       }
     }
     if (tri[0] == tri[1] || tri[1] == tri[2] || tri[0] == tri[2]) {
-      return Status::InvalidArgument("face " + std::to_string(f) +
-                                     " has repeated vertices");
+      return Status::InvalidArgument(
+          "face " + std::to_string(f) + " has repeated vertices (" +
+          std::to_string(tri[0]) + ", " + std::to_string(tri[1]) + ", " +
+          std::to_string(tri[2]) + ")");
     }
     if (IsDegenerate(vertices[tri[0]], vertices[tri[1]], vertices[tri[2]])) {
       return Status::InvalidArgument("face " + std::to_string(f) +
@@ -77,10 +91,18 @@ Status TerrainMesh::BuildAdjacency() {
         Edge& e = edges_[it->second];
         if (e.f1 != kInvalidId) {
           return Status::InvalidArgument(
-              "non-manifold edge shared by more than two faces");
+              "non-manifold " + EdgeName(u, v) + " shared by faces " +
+              std::to_string(e.f0) + ", " + std::to_string(e.f1) + " and " +
+              std::to_string(f));
         }
         if (e.f0 == f) {
-          return Status::InvalidArgument("face repeats an edge");
+          return Status::InvalidArgument("face " + std::to_string(f) +
+                                         " repeats " + EdgeName(u, v));
+        }
+        if (SameVertexSet(faces_[e.f0], faces_[f])) {
+          return Status::InvalidArgument(
+              "faces " + std::to_string(e.f0) + " and " + std::to_string(f) +
+              " are duplicates sharing " + EdgeName(u, v));
         }
         e.f1 = f;
         face_edges_[f][i] = it->second;

@@ -53,7 +53,9 @@ class TerrainMesh {
   };
 
   /// Builds a mesh from a triangle soup. Fails on out-of-range indices,
-  /// degenerate faces, non-manifold edges, or an empty mesh.
+  /// repeated vertices, degenerate or duplicated faces, non-manifold edges,
+  /// or an empty mesh; topology errors name the edge's vertex ids and the
+  /// face indices involved.
   static StatusOr<TerrainMesh> FromSoup(
       std::vector<Vec3> vertices, std::vector<std::array<uint32_t, 3>> faces);
 

@@ -2,10 +2,19 @@
 
 #include "base/logging.h"
 #include "base/probe_stats.h"
-#include "base/simd.h"
 
 namespace tso {
 namespace {
+
+/// Software prefetch of the cache line holding `addr` (read intent,
+/// moderate temporal locality); nothing on toolchains without the builtin.
+inline void PrefetchRead(const void* addr) {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(addr, /*rw=*/0, /*locality=*/2);
+#else
+  (void)addr;
+#endif
+}
 
 /// Follows single-child chains downward: the surviving node of a chain is
 /// its bottom node (§3.2's splice deletes each single-child node and

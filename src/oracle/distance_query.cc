@@ -1,7 +1,5 @@
 #include "oracle/distance_query.h"
 
-#include <algorithm>
-
 namespace tso {
 namespace {
 
@@ -42,56 +40,21 @@ class DegradedProber {
   bool unavailable_ = false;
 };
 
-}  // namespace
-
-bool PairSource::LookupFirst(std::span<const uint32_t> a,
-                             std::span<const uint32_t> b,
-                             double* distance) const {
-  const size_t n = a.size();
-  if (shards_.empty()) {
-    double dist[kProbeBatchWidth];
-    uint8_t found[kProbeBatchWidth];
-    for (size_t i = 0; i < n; i += kProbeBatchWidth) {
-      const size_t m = std::min(kProbeBatchWidth, n - i);
-      single_.LookupBatch(a.data() + i, b.data() + i, m, dist, found);
-      for (size_t j = 0; j < m; ++j) {
-        if (found[j]) {
-          *distance = dist[j];
-          return true;
-        }
-      }
-    }
-    return false;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (Lookup(a[i], b[i], distance)) return true;
-  }
-  return false;
-}
-
-StatusOr<double> OracleDistance(const CompressedTreeView& tree,
-                                const PairSource& pairs, uint32_t s,
-                                uint32_t t, QueryScratch& scratch) {
-  if (s == t) return 0.0;
+/// Visits the §3.4 candidate pairs <O, O'> (O in A_s, O' in A_t) in probe
+/// order — pass 1 (same layer), pass 2 (first-higher), pass 3 (first-lower)
+/// — and returns true at the first one for which `probe(O, O')` returns
+/// true; false once the sequence is exhausted. Candidates are generated on
+/// the fly from the ancestor arrays and tree nodes, so nothing is buffered
+/// and nothing past the matching pair is touched.
+template <typename Probe>
+bool ForEachCandidate(const CompressedTreeView& tree,
+                      std::span<const uint32_t> as,
+                      std::span<const uint32_t> at, Probe&& probe) {
   const int h = tree.height();
-  const std::span<const uint32_t> as = tree.AncestorsOfPoi(s, &scratch.a);
-  const std::span<const uint32_t> at = tree.AncestorsOfPoi(t, &scratch.b);
-
-  // Collect the full §3.4 probe sequence up front, then push it through the
-  // batched probe: candidate generation touches only the (prefetched,
-  // usually cached) ancestor arrays and tree nodes, while the hash probes —
-  // where the cache misses live — overlap kProbeBatchWidth at a time.
-  // Probes are pure, so taking the earliest hit of the sequence is
-  // bit-identical to the original probe-as-you-go loops.
-  std::vector<uint32_t>& ca = scratch.cand_a;
-  std::vector<uint32_t>& cb = scratch.cand_b;
-  ca.clear();
-  cb.clear();
   // Pass 1: same-layer pairs.
   for (int i = 0; i <= h; ++i) {
-    if (as[i] != kInvalidId && at[i] != kInvalidId) {
-      ca.push_back(as[i]);
-      cb.push_back(at[i]);
+    if (as[i] != kInvalidId && at[i] != kInvalidId && probe(as[i], at[i])) {
+      return true;
     }
   }
   // Pass 2: first-higher-layer pairs <O, O'> with Layer(O) < Layer(O'),
@@ -102,12 +65,8 @@ StatusOr<double> OracleDistance(const CompressedTreeView& tree,
     if (ot == kInvalidId) continue;
     const uint32_t parent = tree.node(ot).parent;
     if (parent == kInvalidId) continue;
-    const int j = tree.node(parent).layer;
-    for (int k = j; k < i; ++k) {
-      if (as[k] != kInvalidId) {
-        ca.push_back(as[k]);
-        cb.push_back(ot);
-      }
+    for (int k = tree.node(parent).layer; k < i; ++k) {
+      if (as[k] != kInvalidId && probe(as[k], ot)) return true;
     }
   }
   // Pass 3: first-lower-layer pairs (symmetric).
@@ -116,16 +75,27 @@ StatusOr<double> OracleDistance(const CompressedTreeView& tree,
     if (os == kInvalidId) continue;
     const uint32_t parent = tree.node(os).parent;
     if (parent == kInvalidId) continue;
-    const int j = tree.node(parent).layer;
-    for (int k = j; k < i; ++k) {
-      if (at[k] != kInvalidId) {
-        ca.push_back(os);
-        cb.push_back(at[k]);
-      }
+    for (int k = tree.node(parent).layer; k < i; ++k) {
+      if (at[k] != kInvalidId && probe(os, at[k])) return true;
     }
   }
+  return false;
+}
+
+}  // namespace
+
+StatusOr<double> OracleDistance(const CompressedTreeView& tree,
+                                const PairSource& pairs, uint32_t s,
+                                uint32_t t, QueryScratch& scratch) {
+  if (s == t) return 0.0;
+  const std::span<const uint32_t> as = tree.AncestorsOfPoi(s, &scratch.a);
+  const std::span<const uint32_t> at = tree.AncestorsOfPoi(t, &scratch.b);
   double d;
-  if (pairs.LookupFirst(ca, cb, &d)) return d;
+  if (ForEachCandidate(tree, as, at, [&](uint32_t a, uint32_t b) {
+        return pairs.Lookup(a, b, &d);
+      })) {
+    return d;
+  }
   if (!pairs.degraded()) {
     return Status::Internal(
         "unique node pair match property violated: no pair found");
@@ -133,8 +103,10 @@ StatusOr<double> OracleDistance(const CompressedTreeView& tree,
   // Re-walk the same probe sequence through the degraded prober: rescue the
   // match via its reverse orientation, or report the dead shard.
   DegradedProber prober(pairs);
-  for (size_t i = 0; i < ca.size(); ++i) {
-    if (prober.Probe(ca[i], cb[i], &d)) return d;
+  if (ForEachCandidate(tree, as, at, [&](uint32_t a, uint32_t b) {
+        return prober.Probe(a, b, &d);
+      })) {
+    return d;
   }
   return prober.Verdict();
 }

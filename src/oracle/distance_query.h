@@ -15,13 +15,14 @@ namespace tso {
 /// shared mutable state; they either take a caller-owned QueryScratch (one
 /// per thread — reuse across calls to stay allocation-free) or fall back to
 /// a thread_local instance inside the convenience overloads.
+///
+/// The §3.4 query itself needs no buffers: it probes each candidate pair as
+/// it is generated. The only per-call storage is the ancestor arrays of a
+/// view without a precomputed ancestor table (and of the naive query).
 struct QueryScratch {
   /// Ancestor-array buffers (A_s / A_t) for views without a precomputed
   /// ancestor table.
   std::vector<uint32_t> a, b;
-  /// Candidate probe sequence of the batched query: parallel arrays of
-  /// (first, second) node ids in §3.4 probe order.
-  std::vector<uint32_t> cand_a, cand_b;
 };
 
 /// Where a query probe finds its node pairs: either one monolithic
@@ -81,16 +82,6 @@ class PairSource {
     return shard >= shard_ok_.size() || shard_ok_[shard] != 0;
   }
 
-  /// Probes the candidate sequence (a[i], b[i]) in order and returns true
-  /// with *distance set to the earliest present pair's distance. Monolithic
-  /// sources run the batched pipeline (kProbeBatchWidth lanes hashed in
-  /// lock step, all candidate lines prefetched before any compare),
-  /// early-exiting after the first batch containing a hit; sharded sources
-  /// probe lane-by-lane because routing differs per key. Probes are pure,
-  /// so the result is bit-identical to sequential scalar Lookup calls.
-  bool LookupFirst(std::span<const uint32_t> a, std::span<const uint32_t> b,
-                   double* distance) const;
-
   bool sharded() const { return !shards_.empty(); }
   size_t num_shards() const { return shards_.size(); }
   /// True when this source was opened degraded (some shard unavailable).
@@ -106,10 +97,12 @@ class PairSource {
 /// The efficient O(h) POI-to-POI query of §3.4 (same-layer scan +
 /// first-higher + first-lower passes), implemented once over the non-owning
 /// view forms. Every representation of the oracle answers through this
-/// function: SeOracle passes views of its heap-backed components, OracleView
-/// passes views straight into a mapped file, PackView passes its sharded
-/// PairSource — the answers are bit-identical because the probed structures
-/// hold byte-identical records.
+/// function and its one scalar probe path: SeOracle and OracleView pass a
+/// monolithic PairSource over their views, PackView passes its sharded one
+/// — the answers are bit-identical because the probed structures hold
+/// byte-identical records. Each candidate pair is probed as it is
+/// generated and the query stops at the first stored pair, so a query
+/// costs as many probes as that pair's position in the §3.4 sequence.
 ///
 /// `s` and `t` must already be validated against the POI count.
 StatusOr<double> OracleDistance(const CompressedTreeView& tree,

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "base/perfect_hash.h"
-#include "base/simd.h"
 #include "oracle/compressed_tree.h"
 
 namespace tso {
@@ -44,38 +43,6 @@ class NodePairSetView {
     if (idx >= pairs_.size()) return false;  // corrupt value table
     *distance = pairs_[idx].distance;
     return true;
-  }
-
-  /// Batched probe over n <= kProbeBatchWidth ordered pairs, backed by
-  /// PerfectHashView::LookupBatch: all lanes are hashed in lock step and
-  /// every candidate line (bucket, slot, then pair payload) is prefetched
-  /// before any compare or distance read. found[i] != 0 iff (a[i], b[i]) is
-  /// in the set, in which case distance[i] is its distance. Bit-identical
-  /// to n scalar Lookup calls at every SimdLevel.
-  void LookupBatch(const uint32_t* a, const uint32_t* b, size_t n,
-                   double* distance, uint8_t* found) const {
-    uint64_t keys[kProbeBatchWidth];
-    uint64_t idx[kProbeBatchWidth];
-    for (size_t i = 0; i < n; ++i) keys[i] = PairKey(a[i], b[i]);
-    hash_.LookupBatch(keys, n, idx, found);
-    uint64_t payload_prefetches = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (!found[i]) continue;
-      if (idx[i] >= pairs_.size()) {  // corrupt value table
-        found[i] = 0;
-        continue;
-      }
-      PrefetchRead(&pairs_[idx[i]]);
-      payload_prefetches++;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (found[i]) distance[i] = pairs_[idx[i]].distance;
-    }
-    if (payload_prefetches != 0) {
-      if (ProbeCounters* pc = ProbeCounterScope::Active(); pc != nullptr) {
-        pc->prefetches += payload_prefetches;
-      }
-    }
   }
 
   size_t size() const { return pairs_.size(); }

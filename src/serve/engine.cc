@@ -10,19 +10,6 @@
 namespace tso {
 namespace {
 
-/// Releases the admission slot taken by Admit() when the query returns.
-class InflightSlot {
- public:
-  explicit InflightSlot(std::atomic<uint64_t>* inflight)
-      : inflight_(inflight) {}
-  ~InflightSlot() { inflight_->fetch_sub(1, std::memory_order_relaxed); }
-  InflightSlot(const InflightSlot&) = delete;
-  InflightSlot& operator=(const InflightSlot&) = delete;
-
- private:
-  std::atomic<uint64_t>* inflight_;
-};
-
 /// Per-query budget clock, armed at admission. Disabled (never exceeded)
 /// when neither the query nor the engine sets a deadline, which keeps the
 /// default path free of clock reads beyond the one `count() > 0` check.
@@ -105,17 +92,19 @@ ServeEngine::~ServeEngine() {
 }
 
 Status ServeEngine::Admit() const {
-  queries_.fetch_add(1, std::memory_order_relaxed);
+  queries_.Add();
   if (lame_duck_.load(std::memory_order_acquire)) {
     shed_.fetch_add(1, std::memory_order_relaxed);
     return Status::Unavailable("lame duck: engine is draining");
   }
-  const uint64_t was = inflight_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.max_inflight > 0 && was >= options_.max_inflight) {
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
+  if (options_.max_inflight > 0 &&
+      admitted_.fetch_add(1, std::memory_order_relaxed) >=
+          options_.max_inflight) {
+    admitted_.fetch_sub(1, std::memory_order_relaxed);
     shed_.fetch_add(1, std::memory_order_relaxed);
     return Status::Unavailable("admission control: too many queries in flight");
   }
+  inflight_.Add();
   // Fires while the slot is held: a pause-armed "serve.query" occupies one
   // admission slot for as long as it stays armed, which is how the overload
   // tests and the bench saturate admission deterministically. An
@@ -123,12 +112,31 @@ Status ServeEngine::Admit() const {
   if (failpoint::internal::g_armed.load(std::memory_order_relaxed) > 0) {
     Status injected = failpoint::internal::Eval("serve.query");
     if (!injected.ok()) {
-      inflight_.fetch_sub(1, std::memory_order_relaxed);
+      Release();
       return injected;
     }
   }
   return Status::Ok();
 }
+
+void ServeEngine::Release() const {
+  inflight_.Sub();
+  if (options_.max_inflight > 0) {
+    admitted_.fetch_sub(1, std::memory_order_relaxed);
+  }
+}
+
+/// Releases the admission slot taken by Admit() when the query returns.
+class ServeEngine::InflightSlot {
+ public:
+  explicit InflightSlot(const ServeEngine* engine) : engine_(engine) {}
+  ~InflightSlot() { engine_->Release(); }
+  InflightSlot(const InflightSlot&) = delete;
+  InflightSlot& operator=(const InflightSlot&) = delete;
+
+ private:
+  const ServeEngine* engine_;
+};
 
 Status ServeEngine::LoadOnce(const std::string& path) {
   TSO_FAILPOINT("serve.load");
@@ -231,7 +239,7 @@ StatusOr<double> ServeEngine::Distance(uint32_t s, uint32_t t,
   // admission seam counts against the caller's deadline.
   const DeadlineTimer timer(options.deadline, options_.default_deadline);
   TSO_RETURN_IF_ERROR(Admit());
-  InflightSlot slot(&inflight_);
+  InflightSlot slot(this);
   if (timer.Exceeded()) return DeadlineError(&deadline_exceeded_);
   EpochDomain::Guard guard = epoch_.Enter();
   const State* state = Pinned();
@@ -250,7 +258,7 @@ StatusOr<std::vector<double>> ServeEngine::Batch(
     uint32_t num_threads, const QueryOptions& options) const {
   const DeadlineTimer timer(options.deadline, options_.default_deadline);
   TSO_RETURN_IF_ERROR(Admit());
-  InflightSlot slot(&inflight_);
+  InflightSlot slot(this);
   // The calling thread's guard covers the worker threads too: they are
   // joined before DistanceBatch returns, which happens before the guard is
   // released.
@@ -285,7 +293,7 @@ StatusOr<std::vector<KnnResult>> ServeEngine::Knn(
     const QueryOptions& options) const {
   const DeadlineTimer timer(options.deadline, options_.default_deadline);
   TSO_RETURN_IF_ERROR(Admit());
-  InflightSlot slot(&inflight_);
+  InflightSlot slot(this);
   if (timer.Exceeded()) return DeadlineError(&deadline_exceeded_);
   EpochDomain::Guard guard = epoch_.Enter();
   const State* state = Pinned();
@@ -307,7 +315,7 @@ StatusOr<std::vector<uint32_t>> ServeEngine::Range(
     const QueryOptions& options) const {
   const DeadlineTimer timer(options.deadline, options_.default_deadline);
   TSO_RETURN_IF_ERROR(Admit());
-  InflightSlot slot(&inflight_);
+  InflightSlot slot(this);
   if (timer.Exceeded()) return DeadlineError(&deadline_exceeded_);
   EpochDomain::Guard guard = epoch_.Enter();
   const State* state = Pinned();
@@ -328,12 +336,12 @@ StatusOr<std::vector<uint32_t>> ServeEngine::Range(
 ServeEngine::Stats ServeEngine::stats() const {
   Stats s;
   s.reloads = reloads_.load(std::memory_order_relaxed);
-  s.queries = queries_.load(std::memory_order_relaxed);
+  s.queries = queries_.Sum();
   s.shed = shed_.load(std::memory_order_relaxed);
   s.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
   s.load_failures = load_failures_.load(std::memory_order_relaxed);
   s.load_retries = load_retries_.load(std::memory_order_relaxed);
-  s.inflight = inflight_.load(std::memory_order_relaxed);
+  s.inflight = inflight_.Sum();
   s.epoch = epoch_.stats();
   EpochDomain::Guard guard = epoch_.Enter();
   const State* state = Pinned();

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "base/epoch.h"
+#include "base/metrics.h"
 #include "query/batch.h"
 #include "query/engine.h"
 
@@ -187,10 +188,15 @@ class ServeEngine {
 
   /// Admission control, shared by every query method: counts the query,
   /// sheds when lame-duck or over max_inflight, and on Ok leaves inflight_
-  /// incremented (the caller releases it via an RAII slot). The
-  /// "serve.query" failpoint fires here, after the slot is taken, so a
-  /// pause-armed failpoint deterministically holds an admission slot.
+  /// (and, under max_inflight, admitted_) incremented — the caller releases
+  /// them via an RAII slot. The "serve.query" failpoint fires here, after
+  /// the slot is taken, so a pause-armed failpoint deterministically holds
+  /// an admission slot.
   Status Admit() const;
+  /// Gives back what a successful Admit() took.
+  void Release() const;
+  /// RAII form of Release() held by every admitted query.
+  class InflightSlot;
 
   /// One open-validate-publish attempt (the pre-hardening Load body).
   Status LoadOnce(const std::string& path);
@@ -203,10 +209,16 @@ class ServeEngine {
   std::atomic<uint64_t> reloads_{0};
   std::atomic<uint64_t> load_failures_{0};
   std::atomic<uint64_t> load_retries_{0};
-  mutable std::atomic<uint64_t> queries_{0};
+  // Every query writes queries_ and inflight_, so they are per-thread
+  // shards: concurrent readers never write a cache line another core also
+  // writes. Exact admission needs one shared count, so admitted_ is only
+  // touched when max_inflight > 0. shed_ and deadline_exceeded_ see only
+  // rejected queries.
+  mutable ShardedCounter queries_;
+  mutable ShardedCounter inflight_;
+  mutable std::atomic<uint64_t> admitted_{0};
   mutable std::atomic<uint64_t> shed_{0};
   mutable std::atomic<uint64_t> deadline_exceeded_{0};
-  mutable std::atomic<uint64_t> inflight_{0};
 };
 
 }  // namespace tso

@@ -501,6 +501,27 @@ TEST(MeshFuzz, NonFiniteCoordinatesAreRejected) {
   }
 }
 
+TEST(MeshFuzz, TopologyErrorsNameTheEdgeAndFaces) {
+  const std::string square = "0 0 0\n1 0 0\n0 1 0\n1 1 0\n";
+  // Three faces hinged on edge (0, 1).
+  ExpectRejected("off",
+                 "OFF\n5 3 0\n" + square + "0.5 0.5 1\n"
+                 "3 0 1 2\n3 1 0 4\n3 0 1 3\n",
+                 "non-manifold edge (0, 1) shared by faces 0, 1 and 2");
+  // A face repeated inside a mesh, and a lone triangle repeated with the
+  // opposite winding (every edge has exactly two faces, so only the
+  // duplicate check catches it).
+  ExpectRejected("off",
+                 "OFF\n4 3 0\n" + square + "3 0 1 2\n3 1 3 2\n3 0 1 2\n",
+                 "faces 0 and 2 are duplicates sharing edge (0, 1)");
+  ExpectRejected("off", "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 2 1\n",
+                 "faces 0 and 1 are duplicates sharing edge (0, 2)");
+  // A face naming one vertex twice.
+  ExpectRejected("off",
+                 "OFF\n4 2 0\n" + square + "3 0 1 2\n3 1 3 3\n",
+                 "face 1 has repeated vertices (1, 3, 3)");
+}
+
 /// The writers' own output for a small grid mesh, as the fuzz corpus.
 std::string WriterOutput(const std::string& format) {
   StatusOr<TerrainMesh> mesh = MeshFromFunction(

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/metrics.h"
 #include "dyn/dynamic_oracle.h"
 #include "geodesic/dijkstra_solver.h"
 #include "oracle/oracle_serde.h"
@@ -433,6 +434,60 @@ TEST(ServeEngine, LoadFailureWhileWriterActive) {
   EXPECT_EQ(ds.inserts, kChurn);
   EXPECT_EQ(ds.live_pois, fx.ds->n() + 4);
   EXPECT_TRUE(dyn->Compact().ok());
+}
+
+// Per-query counters are per-thread shards summed when read: under
+// concurrency every increment must land exactly once, and a decrement on
+// the same thread must cancel its increment even though the cell wraps.
+TEST(ShardedCounter, SumsAcrossThreads) {
+  constexpr int kThreads = 8;
+  constexpr uint64_t kAdds = 100000;
+  ShardedCounter counter;
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&counter]() {
+      for (uint64_t j = 0; j < kAdds; ++j) {
+        counter.Add();
+        // A balanced +1/-1 pair, as an admission slot is taken and given
+        // back, leaves the sum unchanged.
+        counter.Add();
+        counter.Sub();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(counter.Sum(), kThreads * kAdds);
+  // A decrement with no matching increment on its thread still sums
+  // exactly: the cell wraps modulo 2^64 and the sum wraps back.
+  std::thread([&counter]() { counter.Sub(5); }).join();
+  EXPECT_EQ(counter.Sum(), kThreads * kAdds - 5);
+  counter.Add(5);
+  EXPECT_EQ(counter.Sum(), kThreads * kAdds);
+}
+
+TEST(ServeEngine, StatsCountEveryQueryAcrossThreads) {
+  const ServeFixture& fx = Fixture();
+  ServeEngine engine;
+  ASSERT_TRUE(engine.Load(fx.flat_path).ok());
+  const uint64_t before = engine.stats().queries;
+  constexpr int kThreads = 4;
+  constexpr uint32_t kQueries = 10000;
+  const uint32_t n = static_cast<uint32_t>(fx.oracle->num_pois());
+  std::atomic<uint64_t> failures{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i]() {
+      for (uint32_t q = 0; q < kQueries; ++q) {
+        if (!engine.Distance((q + i) % n, (q * 7 + 1) % n).ok()) ++failures;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const ServeEngine::Stats stats = engine.stats();
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(stats.queries - before, uint64_t{kThreads} * kQueries);
+  EXPECT_EQ(stats.inflight, 0u);
+  EXPECT_EQ(stats.shed, 0u);
 }
 
 }  // namespace
