@@ -145,6 +145,12 @@ void MeasureLoad(const Dataset& ds, uint64_t seed) {
 
   const uintmax_t flat_bytes = std::filesystem::file_size(flat_path);
   std::filesystem::remove(flat_path);
+  // The pair index: records (with the empty slots) plus the pilots.
+  const NodePairSetView& pairs = oracle->pair_set();
+  const double bytes_per_pair =
+      static_cast<double>(pairs.records().size_bytes() +
+                          pairs.hash().pilots().size_bytes()) /
+      static_cast<double>(std::max<size_t>(1, pairs.size()));
 
   BenchJson("build")
       .Str("phase", "load")
@@ -152,6 +158,7 @@ void MeasureLoad(const Dataset& ds, uint64_t seed) {
       .Num("load_seconds", flat_seconds, 6)
       .Num("load_seconds_verify", flat_verify_seconds, 6)
       .Int("bytes", flat_bytes)
+      .Num("bytes_per_pair", bytes_per_pair, 3)
       .Num("mmap_speedup_vs_verify",
            flat_seconds > 0 ? flat_verify_seconds / flat_seconds : 0.0, 3)
       .Emit();

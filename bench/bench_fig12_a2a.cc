@@ -88,7 +88,8 @@ void Run() {
   }
   t.Print();
   std::cout << "\nNote: SE(A2A) here doubles as SP-Oracle's structure (both "
-               "are POI-independent Steiner indexes; DESIGN.md §3). The "
+               "are POI-independent Steiner indexes; docs/reproduction.md, "
+               "substitution 3). The "
                "contrast to observe is its N-driven build/size vs the "
                "POI-based SE rows of Figures 8-10, and A2A query times "
                "|N(s)|x|N(t)| probes above the P2P ones.\n";

@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "base/perfect_hash.h"
 #include "base/rng.h"
 #include "geodesic/dijkstra_solver.h"
 #include "geodesic/mmp_solver.h"
@@ -122,26 +121,28 @@ void BM_OracleQueryNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleQueryNaive);
 
-void BM_PerfectHashLookup(benchmark::State& state) {
-  static const PerfectHash* hash = [] {
-    std::vector<std::pair<uint64_t, uint64_t>> entries;
+void BM_NodePairLookup(benchmark::State& state) {
+  // 100k pairs; probes hit and miss about equally (random b).
+  static const NodePairSet* set = [] {
+    std::vector<NodePair> pairs;
     Rng rng(13);
-    for (uint64_t i = 0; i < 100000; ++i) {
-      entries.emplace_back(rng.NextU64() | 1, i);
+    for (uint32_t a = 0; a < 100000; ++a) {
+      pairs.push_back({a, static_cast<uint32_t>(rng.Uniform(2)), 1.0 * a});
     }
-    StatusOr<PerfectHash> built = PerfectHash::Build(entries);
+    StatusOr<NodePairSet> built = NodePairSet::FromPairs(pairs);
     TSO_CHECK(built.ok());
-    return new PerfectHash(std::move(*built));
+    return new NodePairSet(std::move(*built));
   }();
   Rng rng(14);
   uint64_t sink = 0;
   for (auto _ : state) {
-    uint64_t value;
-    sink += hash->Lookup(rng.NextU64(), &value);
+    double d;
+    sink += set->Lookup(static_cast<uint32_t>(rng.Uniform(100000)),
+                        static_cast<uint32_t>(rng.Uniform(2)), &d);
     benchmark::DoNotOptimize(sink);
   }
 }
-BENCHMARK(BM_PerfectHashLookup);
+BENCHMARK(BM_NodePairLookup);
 
 }  // namespace
 }  // namespace tso

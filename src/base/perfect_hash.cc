@@ -1,103 +1,121 @@
 #include "base/perfect_hash.h"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
+#include <optional>
 
 namespace tso {
+namespace {
 
-StatusOr<PerfectHash> PerfectHash::Build(
-    const std::vector<std::pair<uint64_t, uint64_t>>& entries, uint64_t seed) {
-  PerfectHash ph;
-  Raw& raw = ph.raw_;
-  const size_t n = entries.size();
-  raw.num_keys = n;
-  raw.num_buckets = static_cast<uint32_t>(std::max<size_t>(1, n));
+constexpr int kMaxSeedAttempts = 8;
+constexpr uint32_t kNumPilots = 1u << 16;
 
-  Rng rng(seed);
-  const uint32_t m = raw.num_buckets;
-  std::vector<std::vector<size_t>> buckets(m);
-
-  // First level: retry the multiplier until sum of squared bucket sizes is
-  // linear (expected O(1) retries for a universal family).
-  constexpr int kMaxAttempts = 64;
-  bool ok_first = false;
-  for (int attempt = 0; attempt < kMaxAttempts && !ok_first; ++attempt) {
-    raw.mul1 = rng.NextU64() | 1;
-    for (auto& b : buckets) b.clear();
-    for (size_t i = 0; i < n; ++i) {
-      buckets[Mix(entries[i].first, raw.mul1) % m].push_back(i);
-    }
-    size_t sum_sq = 0;
-    for (const auto& b : buckets) sum_sq += b.size() * b.size();
-    ok_first = sum_sq <= 4 * n + 8;
-  }
-  if (!ok_first) {
-    return Status::Internal("perfect hash: first-level multiplier not found");
-  }
-
-  raw.bucket_mul.assign(m, 0);
-  raw.bucket_offset.assign(m + 1, 0);
-  for (uint32_t b = 0; b < m; ++b) {
-    const size_t sz = buckets[b].size();
-    raw.bucket_offset[b + 1] = raw.bucket_offset[b] +
-                               static_cast<uint32_t>(sz * sz);
-  }
-  const size_t total_slots = raw.bucket_offset[m];
-  raw.slot_key.assign(total_slots, 0);
-  raw.slot_value.assign(total_slots, 0);
-  raw.slot_used.assign(total_slots, 0);
-
-  // Second level: per-bucket collision-free tables of quadratic size.
-  std::vector<uint32_t> scratch;
-  for (uint32_t b = 0; b < m; ++b) {
-    const auto& bucket = buckets[b];
-    if (bucket.empty()) continue;
-    const uint32_t width = static_cast<uint32_t>(bucket.size() * bucket.size());
-    const uint32_t base = raw.bucket_offset[b];
-    bool placed = false;
-    for (int attempt = 0; attempt < 1024 && !placed; ++attempt) {
-      const uint64_t mul = rng.NextU64() | 1;
-      scratch.clear();
-      placed = true;
-      for (size_t idx : bucket) {
-        const uint64_t key = entries[idx].first;
-        const uint32_t slot = static_cast<uint32_t>(Mix(key, mul) % width);
-        if (std::find(scratch.begin(), scratch.end(), slot) != scratch.end()) {
-          placed = false;
-          break;
-        }
-        scratch.push_back(slot);
+/// The smallest pilot that sends every key of `bucket` to a free slot, no
+/// two keys to the same one, and marks those slots taken; nullopt if no
+/// 16-bit pilot does.
+std::optional<uint16_t> PlaceBucket(const PerfectHashView& hv,
+                                    std::span<const uint64_t> bucket,
+                                    std::vector<uint8_t>& taken,
+                                    std::vector<uint64_t>& slots) {
+  for (uint32_t p = 0; p < kNumPilots; ++p) {
+    const uint16_t pilot = static_cast<uint16_t>(p);
+    slots.clear();
+    for (uint64_t key : bucket) {
+      const uint64_t slot = hv.PilotSlot(key, pilot);
+      if (taken[slot] != 0 ||
+          std::find(slots.begin(), slots.end(), slot) != slots.end()) {
+        break;
       }
-      if (placed) {
-        raw.bucket_mul[b] = mul;
-        for (size_t k = 0; k < bucket.size(); ++k) {
-          const size_t idx = bucket[k];
-          const uint32_t slot = base + scratch[k];
-          if (raw.slot_used[slot]) {
-            return Status::Internal("perfect hash: duplicate key detected");
-          }
-          raw.slot_used[slot] = 1;
-          raw.slot_key[slot] = entries[idx].first;
-          raw.slot_value[slot] = entries[idx].second;
-        }
-      }
+      slots.push_back(slot);
     }
-    if (!placed) {
-      // With distinct keys this is astronomically unlikely; duplicates are
-      // the realistic cause.
-      return Status::InvalidArgument(
-          "perfect hash: second-level placement failed (duplicate keys?)");
+    if (slots.size() == bucket.size()) {
+      for (uint64_t slot : slots) taken[slot] = 1;
+      return pilot;
     }
   }
-  return ph;
+  return std::nullopt;
 }
 
-size_t PerfectHash::SizeBytes() const {
-  const Raw& raw = raw_;
-  return sizeof(*this) + raw.bucket_mul.size() * sizeof(uint64_t) +
-         raw.bucket_offset.size() * sizeof(uint32_t) +
-         raw.slot_key.size() * sizeof(uint64_t) +
-         raw.slot_value.size() * sizeof(uint64_t) +
-         raw.slot_used.size() * sizeof(uint8_t);
+bool HasDuplicate(std::span<const uint64_t> bucket) {
+  for (size_t i = 0; i < bucket.size(); ++i) {
+    for (size_t j = i + 1; j < bucket.size(); ++j) {
+      if (bucket[i] == bucket[j]) return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+StatusOr<PerfectHash> PerfectHash::Build(std::span<const uint64_t> keys,
+                                         uint64_t seed) {
+  const uint64_t n = keys.size();
+  if (n >= std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument("perfect hash: too many keys");
+  }
+  const uint64_t num_slots = NumSlotsFor(n);
+  const uint64_t num_buckets = NumBucketsFor(n);
+
+  // Per-attempt scratch, reused across seeds.
+  std::vector<uint32_t> bucket_of(n);
+  std::vector<uint32_t> bucket_start(num_buckets + 1);
+  std::vector<uint64_t> sorted_keys(n);  // grouped by bucket
+  std::vector<uint32_t> order(num_buckets);
+  std::vector<uint8_t> taken(num_slots);
+  std::vector<uint64_t> slots;
+
+  for (int attempt = 0; attempt < kMaxSeedAttempts; ++attempt) {
+    PerfectHash ph;
+    ph.seed_ = seed + static_cast<uint64_t>(attempt);
+    ph.num_slots_ = num_slots;
+    ph.pilots_.assign(num_buckets, 0);
+    const PerfectHashView hv = ph.view();
+
+    // Counting sort of the keys by bucket.
+    std::fill(bucket_start.begin(), bucket_start.end(), 0);
+    for (uint64_t i = 0; i < n; ++i) {
+      bucket_of[i] = static_cast<uint32_t>(hv.Bucket(keys[i]));
+      ++bucket_start[bucket_of[i] + 1];
+    }
+    std::partial_sum(bucket_start.begin(), bucket_start.end(),
+                     bucket_start.begin());
+    std::vector<uint32_t> fill(bucket_start.begin(), bucket_start.end() - 1);
+    for (uint64_t i = 0; i < n; ++i) {
+      sorted_keys[fill[bucket_of[i]]++] = keys[i];
+    }
+
+    // Largest buckets first, ties by bucket index: the order, and so the
+    // layout, depends only on the key set.
+    const auto size_of = [&](uint32_t b) {
+      return bucket_start[b + 1] - bucket_start[b];
+    };
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
+      return size_of(x) > size_of(y);
+    });
+
+    std::fill(taken.begin(), taken.end(), 0);
+    bool placed_all = true;
+    for (uint32_t b : order) {
+      const std::span<const uint64_t> bucket(
+          sorted_keys.data() + bucket_start[b], size_of(b));
+      if (bucket.empty()) break;  // sorted by size: the rest are empty too
+      // Equal keys always share a bucket, so this finds every duplicate.
+      if (HasDuplicate(bucket)) {
+        return Status::InvalidArgument("perfect hash: duplicate key");
+      }
+      const std::optional<uint16_t> pilot =
+          PlaceBucket(hv, bucket, taken, slots);
+      if (!pilot.has_value()) {
+        placed_all = false;
+        break;
+      }
+      ph.pilots_[b] = *pilot;
+    }
+    if (placed_all) return ph;
+  }
+  return Status::Internal("perfect hash: no seed placed every bucket");
 }
 
 }  // namespace tso

@@ -3,66 +3,69 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
-#include "base/probe_stats.h"
-#include "base/rng.h"
 #include "base/status.h"
 
 namespace tso {
 
-/// Non-owning FKS lookup over pointer+count table views: the single
-/// implementation of the two-level probe, shared by the owning PerfectHash
-/// (heap-backed vectors) and the zero-copy OracleView (spans into a mapped
-/// oracle file). A default-constructed view behaves as an empty table.
+/// Maps a 64-bit hash onto [0, n) with one multiply and a shift (Lemire's
+/// "fastrange"): no division, and the result is < n for every hash, so a
+/// table of n entries needs no bounds check behind it. n must be >= 1.
+inline uint64_t FastRange(uint64_t hash, uint64_t n) {
+  return static_cast<uint64_t>((static_cast<unsigned __int128>(hash) * n) >>
+                               64);
+}
+
+/// Non-owning probe form of a pilot-table perfect hash (PTHash, Pibiri–Trani
+/// SIGIR 2021; CHD, Belazzougui–Botelho–Dietzfelbinger ESA 2009): a key's
+/// slot is
+///
+///   bucket = FastRange(Mix(key, bucket_mul), num_buckets)
+///   slot   = FastRange(Mix(key ^ pilot[bucket] · φ, slot_mul), num_slots)
+///
+/// with both multipliers derived from one seed. The pilot enters before the
+/// final Mix, not after it: FastRange reads only the top bits, so with
+/// `Mix(key) ^ f(pilot)` two keys of one bucket whose hashes share their top
+/// bits would collide under every pilot.
+///
+/// The table stores no keys: it maps each of the n build keys to a distinct
+/// slot in [0, num_slots), and any other key to some slot. Callers store
+/// their records at the slots and compare the probed record's own key
+/// (NodePairSetView::Lookup), so one probe reads one pilot and one record.
+///
+/// The shape is validated once by whoever hands in the spans (num_slots >=
+/// 1, at least one pilot); after that Slot() is branch-free and never
+/// leaves [0, num_slots). A default-constructed view is the empty table:
+/// one pilot, one slot.
 class PerfectHashView {
  public:
-  PerfectHashView() = default;
-  PerfectHashView(uint64_t mul1, uint32_t num_buckets, uint64_t num_keys,
-                  std::span<const uint64_t> bucket_mul,
-                  std::span<const uint32_t> bucket_offset,
-                  std::span<const uint64_t> slot_key,
-                  std::span<const uint64_t> slot_value,
-                  std::span<const uint8_t> slot_used)
-      : mul1_(mul1),
-        num_buckets_(num_buckets),
-        num_keys_(num_keys),
-        bucket_mul_(bucket_mul),
-        bucket_offset_(bucket_offset),
-        slot_key_(slot_key),
-        slot_value_(slot_value),
-        slot_used_(slot_used) {}
+  PerfectHashView() : PerfectHashView(0, 1, kZeroPilot) {}
+  PerfectHashView(uint64_t seed, uint64_t num_slots,
+                  std::span<const uint16_t> pilots)
+      : seed_(seed),
+        bucket_mul_(SeedMul(seed, 0)),
+        slot_mul_(SeedMul(seed, 1)),
+        num_slots_(num_slots),
+        pilots_(pilots) {}
 
-  /// Returns true and sets *value if key is present. O(1): two Mix
-  /// evaluations and one slot probe.
-  ///
-  /// The probe is hardened against untrusted tables: the slot index is
-  /// bounds-checked before the arrays are touched, so a view over a
-  /// corrupt/adversarial mapped file degrades to NotFound instead of an
-  /// out-of-bounds read. For well-formed tables the guard branch is never
-  /// taken (perfectly predicted), which keeps the mapped open path free of
-  /// any O(table) validation scan.
-  bool Lookup(uint64_t key, uint64_t* value) const {
-    const bool found = LookupImpl(key, value);
-    if (ProbeCounters* pc = ProbeCounterScope::Active(); pc != nullptr) {
-      pc->probes++;
-      if (found) pc->hits++;
-    }
-    return found;
+  uint64_t Slot(uint64_t key) const {
+    return PilotSlot(key, pilots_[Bucket(key)]);
   }
 
-  size_t size() const { return num_keys_; }
+  // The two steps of Slot(), exposed for the builder's pilot search.
+  uint64_t Bucket(uint64_t key) const {
+    return FastRange(Mix(key, bucket_mul_), pilots_.size());
+  }
+  uint64_t PilotSlot(uint64_t key, uint16_t pilot) const {
+    return FastRange(Mix(key ^ (pilot * 0x9e3779b97f4a7c15ULL), slot_mul_),
+                     num_slots_);
+  }
 
-  // The tables this view probes, in the order the flat oracle format stores
-  // them (read by the flat writer, oracle/oracle_serde.cc).
-  uint64_t mul1() const { return mul1_; }
-  uint32_t num_buckets() const { return num_buckets_; }
-  std::span<const uint64_t> bucket_mul() const { return bucket_mul_; }
-  std::span<const uint32_t> bucket_offset() const { return bucket_offset_; }
-  std::span<const uint64_t> slot_key() const { return slot_key_; }
-  std::span<const uint64_t> slot_value() const { return slot_value_; }
-  std::span<const uint8_t> slot_used() const { return slot_used_; }
+  uint64_t seed() const { return seed_; }
+  uint64_t num_slots() const { return num_slots_; }
+  uint32_t num_buckets() const { return static_cast<uint32_t>(pilots_.size()); }
+  std::span<const uint16_t> pilots() const { return pilots_; }
 
   static uint64_t Mix(uint64_t key, uint64_t mul) {
     // Multiply-xorshift universal-ish hash (xxhash-style avalanche).
@@ -74,86 +77,61 @@ class PerfectHashView {
   }
 
  private:
-  bool LookupImpl(uint64_t key, uint64_t* value) const {
-    if (num_keys_ == 0) return false;
-    const uint32_t b = static_cast<uint32_t>(Mix(key, mul1_) % num_buckets_);
-    const uint64_t base = bucket_offset_[b];
-    const uint64_t next = bucket_offset_[b + 1];
-    if (next <= base) return false;  // empty (or corrupt non-monotone) bucket
-    const uint64_t slot = base + Mix(key, bucket_mul_[b]) % (next - base);
-    if (slot >= slot_used_.size()) return false;  // corrupt offset table
-    if (!slot_used_[slot] || slot_key_[slot] != key) return false;
-    *value = slot_value_[slot];
-    return true;
+  static constexpr uint16_t kZeroPilot[1] = {0};
+
+  /// Odd multiplier number `which` of `seed` (splitmix64 finalizer).
+  static uint64_t SeedMul(uint64_t seed, uint64_t which) {
+    uint64_t z = seed + (which + 1) * 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return (z ^ (z >> 31)) | 1;
   }
 
-  uint64_t mul1_ = 0;
-  uint32_t num_buckets_ = 0;
-  uint64_t num_keys_ = 0;
-  std::span<const uint64_t> bucket_mul_;
-  std::span<const uint32_t> bucket_offset_;
-  std::span<const uint64_t> slot_key_;
-  std::span<const uint64_t> slot_value_;
-  std::span<const uint8_t> slot_used_;
+  uint64_t seed_;
+  uint64_t bucket_mul_;
+  uint64_t slot_mul_;
+  uint64_t num_slots_;
+  std::span<const uint16_t> pilots_;
 };
 
-/// Static perfect hash table from uint64 keys to uint64 values, built with
-/// the FKS two-level scheme the paper cites ([7], CLRS §11.5): a first-level
-/// universal hash splits the keys into n buckets; each bucket of size b gets
-/// a collision-free second-level table of size b². Expected construction is
-/// linear; lookups are two hash evaluations — the O(1) node-pair probe that
-/// §3.3 and §3.4 rely on.
-///
-/// Keys must be distinct. Lookups of absent keys return NotFound (keys are
-/// stored for verification). This is the owning build-time form; the probe
-/// itself lives in PerfectHashView so a mapped oracle can share it without
-/// materializing the tables.
+/// The owning, build-time form: a deterministic pilot search over distinct
+/// uint64 keys. Keys are split into about three per bucket, the buckets are
+/// placed largest first (ties by bucket index), and each gets the smallest
+/// 16-bit pilot that sends all its keys to free, distinct slots of a table
+/// about 1% larger than the key count. If some bucket exhausts its pilots
+/// the build retries with the next seed; the seed that succeeded is part of
+/// the result. The layout depends only on the key set and the seed, never
+/// on the key order.
 class PerfectHash {
  public:
+  static constexpr uint64_t kDefaultSeed = 0x5eed;
+
   PerfectHash() = default;
 
-  /// Builds the table. `seed` makes construction deterministic.
-  static StatusOr<PerfectHash> Build(
-      const std::vector<std::pair<uint64_t, uint64_t>>& entries,
-      uint64_t seed = 0x5eed);
+  /// Builds the table. Duplicate keys are InvalidArgument.
+  static StatusOr<PerfectHash> Build(std::span<const uint64_t> keys,
+                                     uint64_t seed = kDefaultSeed);
 
-  /// Returns true and sets *value if key is present.
-  bool Lookup(uint64_t key, uint64_t* value) const {
-    return view().Lookup(key, value);
-  }
-  bool Contains(uint64_t key) const {
-    uint64_t unused;
-    return Lookup(key, &unused);
-  }
+  /// Table size for n keys: n / 0.99, and at least one slot.
+  static uint64_t NumSlotsFor(uint64_t n) { return n + n / 99 + 1; }
+  /// Bucket count for n keys: about three keys per bucket, at least one.
+  static uint64_t NumBucketsFor(uint64_t n) { return n / 3 + 1; }
 
-  size_t size() const { return raw_.num_keys; }
-  /// Memory footprint of the index structures in bytes.
-  size_t SizeBytes() const;
-
-  /// The non-owning probe form over this table's storage.
+  uint64_t Slot(uint64_t key) const { return view().Slot(key); }
   PerfectHashView view() const {
-    return PerfectHashView(raw_.mul1, raw_.num_buckets, raw_.num_keys,
-                           raw_.bucket_mul, raw_.bucket_offset, raw_.slot_key,
-                           raw_.slot_value, raw_.slot_used);
+    return PerfectHashView(seed_, num_slots_, pilots_);
+  }
+  uint64_t num_slots() const { return num_slots_; }
+
+  /// Memory footprint of the pilot table in bytes.
+  size_t SizeBytes() const {
+    return sizeof(*this) + pilots_.size() * sizeof(uint16_t);
   }
 
  private:
-  struct Raw {
-    uint64_t mul1;
-    uint32_t num_buckets;
-    uint64_t num_keys;
-    std::vector<uint64_t> bucket_mul;
-    std::vector<uint32_t> bucket_offset;  // size num_buckets + 1
-    std::vector<uint64_t> slot_key;
-    std::vector<uint64_t> slot_value;
-    std::vector<uint8_t> slot_used;
-  };
-
-  static uint64_t Mix(uint64_t key, uint64_t mul) {
-    return PerfectHashView::Mix(key, mul);
-  }
-
-  Raw raw_{};
+  uint64_t seed_ = 0;
+  uint64_t num_slots_ = 1;
+  std::vector<uint16_t> pilots_ = {0};
 };
 
 /// Packs an ordered pair of 32-bit ids into the uint64 key space used for

@@ -18,7 +18,7 @@ StatusOr<SpOracle> SpOracle::Build(const TerrainMesh& mesh,
   // Default density is capped low: the N-driven Steiner blow-up that the
   // paper's evaluation measures is already present at density 1-2, while
   // the index over |G_eps| nodes dominates the suite's time budget at the
-  // uncapped Θ(1/ε) density (DESIGN.md §3, substitution 3).
+  // uncapped Θ(1/ε) density (docs/reproduction.md, substitution 3).
   inner.steiner_points_per_edge =
       options.steiner_points_per_edge != 0
           ? options.steiner_points_per_edge

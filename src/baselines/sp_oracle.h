@@ -16,7 +16,7 @@ struct SpOracleOptions {
   /// The Djidjev–Sommer original indexes exact G_eps distances; our WSPD
   /// stand-in adds its own (empirically ~eps/10) error, so a floored inner
   /// epsilon keeps observed errors within the requested bound while keeping
-  /// the index buildable (DESIGN.md §3, substitution 3).
+  /// the index buildable (docs/reproduction.md, substitution 3).
   double inner_epsilon = 0.0;
 };
 
@@ -32,10 +32,11 @@ struct SpBuildStats {
 /// to the Steiner points of their faces (X_s, X_t) and minimizes over
 /// |X_s|·|X_t| indexed-distance probes.
 ///
-/// Substitution note (DESIGN.md §3): the original indexes G_ε distances with
-/// a planar-separator oracle; we index them with a WSPD over all graph
-/// nodes, which preserves the N-driven build/size scaling and the
-/// |X_s|·|X_t|-probe query structure that the paper's plots measure.
+/// Substitution note (docs/reproduction.md, substitution 3): the original
+/// indexes G_ε distances with a planar-separator oracle; we index them with
+/// a WSPD over all graph nodes, which preserves the N-driven build/size
+/// scaling and the |X_s|·|X_t|-probe query structure that the paper's plots
+/// measure.
 class SpOracle {
  public:
   static StatusOr<SpOracle> Build(const TerrainMesh& mesh,

@@ -23,7 +23,7 @@ namespace tso {
 /// only saddle vertices). Windows that such spawning adds at non-saddle
 /// vertices are dominated and quickly trimmed, so distances stay exact while
 /// the implementation remains robust on arbitrary manifold meshes (see
-/// DESIGN.md §3, substitution 4).
+/// docs/reproduction.md, substitution 4).
 ///
 /// This is the paper's "SSAD exact shortest path algorithm" plug-in (§3.2
 /// Implementation Detail 2), supporting all three stopping criteria of

@@ -30,7 +30,7 @@ class SteinerGraph {
 
   /// Density rule used by K-Algo and SP-Oracle to map an error parameter ε
   /// to a Steiner-point count per edge (capped to keep memory bounded; see
-  /// DESIGN.md §3 substitution 3).
+  /// docs/reproduction.md, substitution 3).
   static uint32_t PointsPerEdgeForEpsilon(double epsilon);
 
   const TerrainMesh& mesh() const { return *mesh_; }

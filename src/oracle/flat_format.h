@@ -3,6 +3,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <iterator>
 
 #include "mesh/terrain_mesh.h"
 #include "oracle/compressed_tree.h"
@@ -27,14 +28,15 @@ static_assert(std::endian::native == std::endian::little,
 
 inline constexpr char kFlatMagic[8] = {'T', 'S', 'O', 'F',
                                        'L', 'A', 'T', '\n'};
-inline constexpr uint32_t kFlatFormatVersion = 1;
-/// Backward-compatible layout revision within kFlatFormatVersion. Minor 0
-/// files have exactly the 10 original sections; minor 1 adds the optional
-/// kFlatAncestors acceleration section (and records its row stride in
-/// FlatMeta::ancestor_stride). Readers accept any minor <= the build's
-/// kFlatFormatMinorVersion; writers always emit the newest minor. See
-/// docs/perf.md for the versioning policy.
-inline constexpr uint32_t kFlatFormatMinorVersion = 1;
+/// Version 2 stores the node pairs in the slot order of a pilot-table
+/// perfect hash (base/perfect_hash.h). Version 1 (minors 0 and 1) indexed
+/// them with a separate FKS table; readers still open v1 files by
+/// converting them to v2 in memory (OracleView::FromBuffer).
+inline constexpr uint32_t kFlatFormatVersion = 2;
+/// Layout revision within kFlatFormatVersion. Readers accept any minor <=
+/// the build's kFlatFormatMinorVersion; writers always emit the newest.
+/// See docs/oracle-format.md for the versioning policy.
+inline constexpr uint32_t kFlatFormatMinorVersion = 0;
 /// Written verbatim as 4 bytes; a big-endian producer would store the
 /// reversed byte pattern, so the loader detects foreign-arch files cleanly.
 inline constexpr uint32_t kFlatEndianTag = 0x01020304u;
@@ -42,27 +44,33 @@ inline constexpr uint32_t kFlatEndianTag = 0x01020304u;
 /// comfortably above the 8-byte requirement of the widest element).
 inline constexpr uint64_t kFlatSectionAlign = 64;
 
-/// Section ids, in file order. The loader requires exactly this set, each
-/// exactly once, in this order.
+/// Section ids. The loader requires exactly the set of the file's version,
+/// each exactly once, in the order of that version (kFlatSectionOrderV2 /
+/// the v1 orders in oracle_view.cc).
 enum FlatSectionId : uint32_t {
-  kFlatMeta = 1,            // FlatMeta × 1
-  kFlatPois = 2,            // SurfacePoint × num_pois
-  kFlatTreeNodes = 3,       // CompressedTreeNode × num_tree_nodes
-  kFlatLeafOfPoi = 4,       // uint32 × num_pois
-  kFlatPairs = 5,           // NodePair × num_pairs
-  kFlatHashBucketMul = 6,   // uint64 × hash_num_buckets
-  kFlatHashBucketOffset = 7,  // uint32 × (hash_num_buckets + 1)
-  kFlatHashSlotKey = 8,     // uint64 × total_slots
-  kFlatHashSlotValue = 9,   // uint64 × total_slots
-  kFlatHashSlotUsed = 10,   // uint8 × total_slots
-  // Minor version 1 (kFlatAncestors last, so minor-0 files are a prefix of
-  // the minor-1 section order):
-  kFlatAncestors = 11,  // uint32 × (num_pois × ancestor_stride)
+  kFlatMeta = 1,       // FlatMeta × 1
+  kFlatPois = 2,       // SurfacePoint × num_pois
+  kFlatTreeNodes = 3,  // CompressedTreeNode × num_tree_nodes
+  kFlatLeafOfPoi = 4,  // uint32 × num_pois
+  // v2: NodePair × hash_num_slots, in hash-slot order (empty slots hold
+  // kEmptyPairSlot). v1: NodePair × num_pairs, sorted by (a, b).
+  kFlatPairs = 5,
+  // v1 only: the FKS tables, skipped by the v1 converter.
+  kFlatHashBucketMul = 6,
+  kFlatHashBucketOffset = 7,
+  kFlatHashSlotKey = 8,
+  kFlatHashSlotValue = 9,
+  kFlatHashSlotUsed = 10,
+  kFlatAncestors = 11,  // uint32 × (num_pois × ancestor_stride); v1.1 and v2
+  kFlatPilots = 12,     // v2: uint16 × hash_num_buckets
 };
-/// Section count of a minor-0 file (and the number of sections every minor
-/// must provide: later minors only append).
+/// The sections of a v2 file, in file order.
+inline constexpr FlatSectionId kFlatSectionOrderV2[] = {
+    kFlatMeta,   kFlatPois,  kFlatTreeNodes, kFlatLeafOfPoi,
+    kFlatPilots, kFlatPairs, kFlatAncestors};
+inline constexpr uint32_t kFlatSectionCountV2 = std::size(kFlatSectionOrderV2);
+/// Section counts of v1 minor 0 and minor 1 files.
 inline constexpr uint32_t kFlatSectionCount = 10;
-/// Section count of a minor-1 file.
 inline constexpr uint32_t kFlatSectionCountMinor1 = 11;
 
 /// Row stride, in uint32 elements, of the kFlatAncestors section for a tree
@@ -83,9 +91,9 @@ const char* FlatSectionName(uint32_t id);
 struct FlatHeader {
   char magic[8];        // kFlatMagic
   uint32_t endian_tag;  // kFlatEndianTag, as written by the producer
-  uint32_t version;     // kFlatFormatVersion
+  uint32_t version;     // kFlatFormatVersion (1: converted at open)
   uint64_t file_size;   // total bytes: cheap truncation detection
-  uint32_t section_count;      // kFlatSectionCount(+1 per later minor)
+  uint32_t section_count;      // kFlatSectionCountV2 (v1: 10 or 11)
   uint32_t section_table_crc;  // CRC32 of the section-table bytes
   // Carved out of the original reserved0 (minor-0 writers zeroed it, which
   // reads back as minor_version == 0 — exactly right).
@@ -119,12 +127,14 @@ struct FlatMeta {
   uint32_t tree_root;
   int32_t tree_height;
   uint64_t num_pairs;
-  uint64_t hash_mul1;
-  uint64_t hash_num_keys;
-  uint32_t hash_num_buckets;
-  // Repurposed reserved field (minor-0 writers zeroed it): row stride, in
-  // uint32 elements, of the kFlatAncestors section. 0 when the section is
-  // absent (minor 0); FlatAncestorStride(tree_height) otherwise.
+  // The pilot hash (PerfectHashView). In v1 files these three fields held
+  // the FKS multiplier, key count and bucket count; the converter ignores
+  // them.
+  uint64_t hash_seed;
+  uint64_t hash_num_slots;    // kFlatPairs record count
+  uint32_t hash_num_buckets;  // kFlatPilots count
+  // Row stride, in uint32 elements, of the kFlatAncestors section:
+  // FlatAncestorStride(tree_height), or 0 in a v1.0 file (no ancestors).
   uint32_t ancestor_stride;
 };
 static_assert(sizeof(FlatMeta) == 64 && alignof(FlatMeta) == 8,

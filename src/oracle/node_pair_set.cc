@@ -66,26 +66,30 @@ struct SplitWalk {
   }
 };
 
-/// Indexes the finished pairs with the FKS perfect hash. Pairs are first
-/// sorted by (a, b) — the recursion emits each ordered pair at most once, so
-/// the sort gives one canonical layout regardless of traversal order or
-/// worker interleaving.
-StatusOr<NodePairSet> FinishSet(std::vector<NodePair> pairs) {
-  std::sort(pairs.begin(), pairs.end(),
-            [](const NodePair& x, const NodePair& y) {
-              return x.a != y.a ? x.a < y.a : x.b < y.b;
-            });
-  std::vector<std::pair<uint64_t, uint64_t>> entries;
-  entries.reserve(pairs.size());
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    entries.emplace_back(PairKey(pairs[i].a, pairs[i].b), i);
-  }
-  StatusOr<PerfectHash> hash = PerfectHash::Build(entries);
-  if (!hash.ok()) return hash.status();
-  return NodePairSet::FromParts(std::move(pairs), std::move(*hash));
-}
-
 }  // namespace
+
+StatusOr<NodePairSet> NodePairSet::FromPairs(std::span<const NodePair> pairs) {
+  std::vector<uint64_t> keys;
+  keys.reserve(pairs.size());
+  for (const NodePair& pair : pairs) {
+    if (IsEmptyPairSlot(pair)) {
+      return Status::InvalidArgument(
+          "node pair set: (kInvalidId, kInvalidId) is the reserved empty-slot "
+          "key");
+    }
+    keys.push_back(PairKey(pair.a, pair.b));
+  }
+  StatusOr<PerfectHash> hash = PerfectHash::Build(keys);
+  if (!hash.ok()) return hash.status();
+  NodePairSet set;
+  set.records_.assign(hash->num_slots(), kEmptyPairSlot);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    set.records_[hash->Slot(keys[i])] = pairs[i];
+  }
+  set.hash_ = std::move(*hash);
+  set.num_pairs_ = pairs.size();
+  return set;
+}
 
 StatusOr<NodePairSet> NodePairSet::Generate(
     const CompressedTree& tree, double epsilon,
@@ -107,7 +111,7 @@ StatusOr<NodePairSet> NodePairSet::Generate(
     stats->pairs_final = pairs.size();
     stats->distance_evals = walk.dist_evals;
   }
-  return FinishSet(std::move(pairs));
+  return FromPairs(pairs);
 }
 
 StatusOr<NodePairSet> NodePairSet::Generate(
@@ -185,7 +189,7 @@ StatusOr<NodePairSet> NodePairSet::Generate(
     stats->pairs_final = done.size();
     stats->distance_evals = dist_evals;
   }
-  return FinishSet(std::move(done));
+  return FromPairs(done);
 }
 
 }  // namespace tso

@@ -3,10 +3,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <ranges>
 #include <span>
 #include <vector>
 
 #include "base/perfect_hash.h"
+#include "base/probe_stats.h"
 #include "oracle/compressed_tree.h"
 
 namespace tso {
@@ -24,34 +26,59 @@ static_assert(sizeof(NodePair) == 16 && alignof(NodePair) == 8,
               "NodePair must stay padding-free: it is mapped directly from "
               "the flat oracle format");
 
-/// Non-owning pointer+count form of the node pair set: the O(1) probe
-/// implemented once over a pair span + PerfectHashView, shared by the
-/// owning NodePairSet and the zero-copy OracleView.
+/// The record stored in a hash slot that no pair maps to. Its key (a = b =
+/// kInvalidId) is reserved: kInvalidId is never a tree node id, so no probe
+/// matches it, and NodePairSet::FromPairs rejects it.
+inline constexpr NodePair kEmptyPairSlot = {kInvalidId, kInvalidId, 0.0};
+inline bool IsEmptyPairSlot(const NodePair& r) {
+  return r.a == kInvalidId && r.b == kInvalidId;
+}
+
+/// Non-owning form of the node pair set: the records in hash order (one per
+/// slot of a PerfectHashView, empty slots holding kEmptyPairSlot) and the
+/// pilot table that places them. The O(1) probe is implemented once here
+/// and shared by the owning NodePairSet and the zero-copy OracleView.
+/// A default-constructed view is the empty set (one empty slot).
 class NodePairSetView {
  public:
-  NodePairSetView() = default;
-  NodePairSetView(std::span<const NodePair> pairs, PerfectHashView hash)
-      : pairs_(pairs), hash_(hash) {}
+  NodePairSetView() : records_(&kEmptyPairSlot, 1) {}
+  /// `records.size()` must equal `hash.num_slots()`; both >= 1 (the flat
+  /// reader validates this once at open).
+  NodePairSetView(std::span<const NodePair> records, PerfectHashView hash,
+                  uint64_t num_pairs)
+      : records_(records), hash_(hash), num_pairs_(num_pairs) {}
 
-  /// O(1) probe: true and *distance set iff (a, b) is in the set. The
-  /// stored index is bounds-checked (never-taken branch for well-formed
-  /// sets) so a corrupt mapped file cannot read out of bounds — see the
-  /// note on PerfectHashView::Lookup.
+  /// O(1) probe: true and *distance set iff (a, b) is in the set. Reads one
+  /// pilot and the one record at the key's slot, and compares the record's
+  /// own (a, b). The slot is always < records().size(), so even a corrupt
+  /// mapped file cannot make the probe read out of bounds.
   bool Lookup(uint32_t a, uint32_t b, double* distance) const {
-    uint64_t idx;
-    if (!hash_.Lookup(PairKey(a, b), &idx)) return false;
-    if (idx >= pairs_.size()) return false;  // corrupt value table
-    *distance = pairs_[idx].distance;
-    return true;
+    const NodePair& r = records_[hash_.Slot(PairKey(a, b))];
+    const bool found = r.a == a && r.b == b;
+    if (ProbeCounters* pc = ProbeCounterScope::Active(); pc != nullptr) {
+      pc->probes++;
+      if (found) pc->hits++;
+    }
+    if (found) *distance = r.distance;
+    return found;
   }
 
-  size_t size() const { return pairs_.size(); }
-  std::span<const NodePair> pairs() const { return pairs_; }
+  /// Stored pairs (empty slots excluded).
+  size_t size() const { return num_pairs_; }
+  /// Every slot's record, in hash order: what the flat format stores.
+  std::span<const NodePair> records() const { return records_; }
+  /// The stored pairs in hash order, empty slots skipped.
+  auto pairs() const {
+    return records_ | std::views::filter([](const NodePair& r) {
+             return !IsEmptyPairSlot(r);
+           });
+  }
   const PerfectHashView& hash() const { return hash_; }
 
  private:
-  std::span<const NodePair> pairs_;
+  std::span<const NodePair> records_;
   PerfectHashView hash_;
+  uint64_t num_pairs_ = 0;
 };
 
 struct NodePairSetStats {
@@ -67,7 +94,7 @@ struct NodePairSetStats {
 /// functions of distinct workers must be safe to call concurrently — e.g.
 /// backed by per-worker solvers over a shared memo). The resulting pair set
 /// is identical for every thread count: the recursion tree is fixed, and
-/// pairs are canonically sorted before hashing.
+/// the pilot-hash layout depends only on the pair set.
 struct NodePairParallelOptions {
   uint32_t num_threads = 1;
   std::function<std::function<double(uint32_t, uint32_t)>(uint32_t)>
@@ -78,7 +105,8 @@ struct NodePairParallelOptions {
 /// pairs are split at the larger-radius node until every pair satisfies
 /// d(c_O, c_O') >= (2/ε + 2) · max(2 r_O, 2 r_O'). The result has the unique
 /// node pair match property (Theorem 1) and O(n h / ε^{2β}) pairs
-/// (Theorem 2); pairs are indexed by an FKS perfect hash for O(1) probes.
+/// (Theorem 2); the pairs are stored in the slot order of a pilot-table
+/// perfect hash for O(1) probes.
 class NodePairSet {
  public:
   /// `center_dist(ca, cb)` must return the geodesic distance between POIs
@@ -96,6 +124,14 @@ class NodePairSet {
                                         const NodePairParallelOptions& options,
                                         NodePairSetStats* stats = nullptr);
 
+  /// Indexes `pairs` and stores them in hash order. Every (a, b) must be
+  /// distinct and none may be the reserved kEmptyPairSlot key
+  /// (InvalidArgument otherwise). The result depends only on the pair set,
+  /// not on its order. Used for the generated set, the pack writer's
+  /// per-shard sets, v1 oracle files converted at open, and the builder's
+  /// enhanced-edge index.
+  static StatusOr<NodePairSet> FromPairs(std::span<const NodePair> pairs);
+
   /// O(1) probe: true and *distance set iff (a, b) is in the set.
   bool Lookup(uint32_t a, uint32_t b, double* distance) const {
     return view().Lookup(a, b, distance);
@@ -103,23 +139,17 @@ class NodePairSet {
 
   /// The non-owning probe form over this set's storage.
   NodePairSetView view() const {
-    return NodePairSetView(pairs_, hash_.view());
+    return NodePairSetView(records_, hash_.view(), num_pairs_);
   }
 
-  size_t size() const { return pairs_.size(); }
-  const std::vector<NodePair>& pairs() const { return pairs_; }
-
-  // For the pack writer's per-shard sets.
-  static NodePairSet FromParts(std::vector<NodePair> pairs, PerfectHash hash) {
-    NodePairSet s;
-    s.pairs_ = std::move(pairs);
-    s.hash_ = std::move(hash);
-    return s;
-  }
+  size_t size() const { return num_pairs_; }
+  /// The stored pairs in hash order (see NodePairSetView::pairs).
+  auto pairs() const { return view().pairs(); }
 
  private:
-  std::vector<NodePair> pairs_;
+  std::vector<NodePair> records_{kEmptyPairSlot};
   PerfectHash hash_;
+  size_t num_pairs_ = 0;
 };
 
 }  // namespace tso

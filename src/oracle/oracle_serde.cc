@@ -50,12 +50,12 @@ std::string SerializeSeOracleFlat(double epsilon,
   meta.tree_root = tree.root();
   meta.tree_height = tree.height();
   meta.num_pairs = pairs.size();
-  meta.hash_mul1 = hash.mul1();
-  meta.hash_num_keys = hash.size();
+  meta.hash_seed = hash.seed();
+  meta.hash_num_slots = hash.num_slots();
   meta.hash_num_buckets = hash.num_buckets();
   meta.ancestor_stride = FlatAncestorStride(tree.height());
 
-  // kFlatAncestors payload (minor 1): one AncestorArray row per POI, padded
+  // kFlatAncestors payload: one AncestorArray row per POI, padded
   // with kInvalidId to a cache-line multiple so each row is line-aligned
   // within the 64-byte-aligned section. Deterministic: a pure integer walk
   // over the tree section.
@@ -69,25 +69,22 @@ std::string SerializeSeOracleFlat(double epsilon,
               ancestors.begin() + p * meta.ancestor_stride);
   }
 
-  const SectionDesc sections[kFlatSectionCountMinor1] = {
+  // In kFlatSectionOrderV2 order.
+  const SectionDesc sections[kFlatSectionCountV2] = {
       {kFlatMeta, &meta, sizeof(meta), 1},
       PodSection(kFlatPois, pois),
       PodSection(kFlatTreeNodes, tree.nodes()),
       PodSection(kFlatLeafOfPoi, tree.leaf_of_poi_map()),
-      PodSection(kFlatPairs, pairs.pairs()),
-      PodSection(kFlatHashBucketMul, hash.bucket_mul()),
-      PodSection(kFlatHashBucketOffset, hash.bucket_offset()),
-      PodSection(kFlatHashSlotKey, hash.slot_key()),
-      PodSection(kFlatHashSlotValue, hash.slot_value()),
-      PodSection(kFlatHashSlotUsed, hash.slot_used()),
+      PodSection(kFlatPilots, hash.pilots()),
+      PodSection(kFlatPairs, pairs.records()),
       PodSection(kFlatAncestors, std::span<const uint32_t>(ancestors)),
   };
 
   // Lay out: header, section table, then 64-byte-aligned sections.
-  FlatSectionEntry table[kFlatSectionCountMinor1] = {};
+  FlatSectionEntry table[kFlatSectionCountV2] = {};
   uint64_t cursor =
-      sizeof(FlatHeader) + kFlatSectionCountMinor1 * sizeof(FlatSectionEntry);
-  for (uint32_t i = 0; i < kFlatSectionCountMinor1; ++i) {
+      sizeof(FlatHeader) + kFlatSectionCountV2 * sizeof(FlatSectionEntry);
+  for (uint32_t i = 0; i < kFlatSectionCountV2; ++i) {
     const SectionDesc& s = sections[i];
     table[i].id = s.id;
     table[i].offset = AlignUp(cursor, kFlatSectionAlign);
@@ -104,14 +101,14 @@ std::string SerializeSeOracleFlat(double epsilon,
   header.version = kFlatFormatVersion;
   header.minor_version = kFlatFormatMinorVersion;
   header.file_size = file_size;
-  header.section_count = kFlatSectionCountMinor1;
+  header.section_count = kFlatSectionCountV2;
   header.section_table_crc = Crc32(table, sizeof(table));
 
   std::string out;
   out.reserve(file_size);
   out.append(reinterpret_cast<const char*>(&header), sizeof(header));
   out.append(reinterpret_cast<const char*>(table), sizeof(table));
-  for (uint32_t i = 0; i < kFlatSectionCountMinor1; ++i) {
+  for (uint32_t i = 0; i < kFlatSectionCountV2; ++i) {
     out.append(table[i].offset - out.size(), '\0');  // alignment padding
     out.append(static_cast<const char*>(sections[i].data),
                sections[i].size);

@@ -9,14 +9,15 @@
 #include "base/crc32.h"
 #include "base/failpoint.h"
 #include "base/serde.h"
+#include "oracle/oracle_serde.h"
 
 namespace tso {
 namespace {
 
-/// The fixed section order of format version 1 (see flat_format.h). A
-/// minor-0 file carries exactly the first kFlatSectionCount entries; later
-/// minors only append, so every minor's order is a prefix of this array.
-constexpr FlatSectionId kSectionOrder[kFlatSectionCountMinor1] = {
+/// The section order of a v1 file (see flat_format.h). A minor-0 file
+/// carries exactly the first kFlatSectionCount entries; minor 1 appends
+/// kFlatAncestors.
+constexpr FlatSectionId kSectionOrderV1[kFlatSectionCountMinor1] = {
     kFlatMeta,          kFlatPois,          kFlatTreeNodes,
     kFlatLeafOfPoi,     kFlatPairs,         kFlatHashBucketMul,
     kFlatHashBucketOffset,
@@ -66,27 +67,17 @@ Status VerifySectionChecksums(const FlatReader& reader,
   return Status::Ok();
 }
 
-/// Structural validation of the mapped content: after this passes, every
-/// index a query can follow stays in bounds, and every parent walk
-/// terminates. Deliberately cheaper than a full content scan: only the
-/// tree sections (O(n) with n = POIs, the small part
-/// of the file) are walked, because the tree traversal dereferences their
-/// links unguarded on the hot path. The big sections — node pairs and the
-/// perfect-hash tables, the bulk of the bytes — need no upfront scan: their
-/// only query-time consumers (PerfectHashView::Lookup and
-/// NodePairSetView::Lookup) bounds-check the indices they read, so a
-/// corrupt table degrades to NotFound instead of an out-of-bounds access.
-/// That keeps Open at O(header + n) rather than O(file size); enable
+/// Structural validation of the tree sections: after this passes, every
+/// index a tree walk can follow stays in bounds, and every parent walk
+/// terminates. O(n) with n = POIs, the small part of the file. The pair
+/// records need no scan: a probe reads the record at FastRange(h, m) < m
+/// and compares its (a, b), so corrupt records can only make probes miss
+/// or return a wrong stored double, never read out of bounds. That keeps
+/// Open at O(header + n) rather than O(file size); enable
 /// Options::verify_checksums to detect (not just survive) corruption.
-Status ValidateStructure(const FlatMeta& meta,
-                         std::span<const SurfacePoint> pois,
-                         std::span<const CompressedTreeNode> nodes,
-                         std::span<const uint32_t> leaf_of_poi,
-                         std::span<const NodePair> pairs,
-                         std::span<const uint32_t> bucket_offset,
-                         std::span<const uint64_t> slot_key,
-                         std::span<const uint64_t> slot_value,
-                         std::span<const uint8_t> slot_used) {
+Status ValidateTree(const FlatMeta& meta,
+                    std::span<const CompressedTreeNode> nodes,
+                    std::span<const uint32_t> leaf_of_poi) {
   if (!(meta.epsilon > 0.0) || !std::isfinite(meta.epsilon)) {
     return Status::InvalidArgument("flat oracle: epsilon out of range");
   }
@@ -101,7 +92,6 @@ Status ValidateStructure(const FlatMeta& meta,
     return Status::InvalidArgument(
         "flat oracle: tree root/height out of range");
   }
-  (void)pois;  // POI content is free-form geometry; only the count matters.
   for (const CompressedTreeNode& node : nodes) {
     if (node.center >= n || node.layer < 0 ||
         node.layer > meta.tree_height) {
@@ -132,25 +122,10 @@ Status ValidateStructure(const FlatMeta& meta,
       return Status::InvalidArgument("flat oracle: leaf id range");
     }
   }
-  // Pair contents and the hash tables get no content scan (see the function
-  // comment) — only the O(1) shape checks that the probe's guards rely on:
-  // Lookup indexes all three slot arrays with one bounds-checked slot, so
-  // they must be equally long, and a non-empty table needs buckets.
-  (void)pairs;
-  if (meta.hash_num_keys > 0 && meta.hash_num_buckets == 0) {
-    return Status::InvalidArgument(
-        "flat oracle: perfect hash tables inconsistent");
-  }
-  if (slot_key.size() != slot_used.size() ||
-      slot_value.size() != slot_used.size()) {
-    return Status::InvalidArgument(
-        "flat oracle: perfect hash slot arrays inconsistent");
-  }
-  (void)bucket_offset;  // size checked against meta by the caller
   return Status::Ok();
 }
 
-/// The precomputed ancestor table (flat minor >= 1) is read unguarded on
+/// The precomputed ancestor table (v1.1 and v2) is read unguarded on
 /// the hot path — its rows feed tree.node() in the candidate passes — so
 /// every row must equal the leaf-to-root walk it caches, and the padding
 /// must be kInvalidId (i.e. never a dereferenceable id). O(n·h), the same
@@ -202,6 +177,8 @@ const char* FlatSectionName(uint32_t id) {
       return "hash-slot-used";
     case kFlatAncestors:
       return "ancestors";
+    case kFlatPilots:
+      return "pilots";
     default:
       return "unknown";
   }
@@ -227,10 +204,12 @@ StatusOr<FlatFileInfo> ReadFlatFileInfo(std::string_view buffer) {
         "flat oracle: endianness mismatch (file written on a foreign "
         "architecture)");
   }
-  if (h.version != kFlatFormatVersion) {
+  // v1 (minors 0 and 1) is read for conversion; v2 up to this build's minor.
+  const uint32_t max_minor = h.version == 1 ? 1 : kFlatFormatMinorVersion;
+  if (h.version != 1 && h.version != kFlatFormatVersion) {
     return Status::InvalidArgument("flat oracle: unsupported format version");
   }
-  if (h.minor_version > kFlatFormatMinorVersion) {
+  if (h.minor_version > max_minor) {
     return Status::InvalidArgument(
         "flat oracle: unsupported minor version (file written by a newer "
         "tso)");
@@ -238,9 +217,13 @@ StatusOr<FlatFileInfo> ReadFlatFileInfo(std::string_view buffer) {
   if (h.file_size != buffer.size()) {
     return Status::OutOfRange("flat oracle: truncated (file size mismatch)");
   }
-  const uint32_t expected_sections =
-      h.minor_version >= 1 ? kFlatSectionCountMinor1 : kFlatSectionCount;
-  if (h.section_count != expected_sections) {
+  const std::span<const FlatSectionId> order =
+      h.version == 1
+          ? std::span<const FlatSectionId>(kSectionOrderV1).first(
+                h.minor_version >= 1 ? kFlatSectionCountMinor1
+                                     : kFlatSectionCount)
+          : std::span<const FlatSectionId>(kFlatSectionOrderV2);
+  if (h.section_count != order.size()) {
     return Status::InvalidArgument("flat oracle: wrong section count");
   }
   std::string_view table_bytes;
@@ -258,7 +241,7 @@ StatusOr<FlatFileInfo> ReadFlatFileInfo(std::string_view buffer) {
       sizeof(FlatHeader) + h.section_count * sizeof(FlatSectionEntry);
   for (uint32_t i = 0; i < h.section_count; ++i) {
     const FlatSectionEntry& e = info.sections[i];
-    if (e.id != kSectionOrder[i]) {
+    if (e.id != order[i]) {
       return Status::InvalidArgument("flat oracle: unexpected section order");
     }
     if (e.offset % kFlatSectionAlign != 0) {
@@ -296,46 +279,22 @@ StatusOr<OracleView> OracleView::FromBuffer(std::string_view buffer,
   view.epsilon_ = meta.epsilon;
   std::span<const CompressedTreeNode> nodes;
   std::span<const uint32_t> leaf_of_poi;
-  std::span<const NodePair> pairs;
-  std::span<const uint64_t> bucket_mul;
-  std::span<const uint32_t> bucket_offset;
-  std::span<const uint64_t> slot_key;
-  std::span<const uint64_t> slot_value;
-  std::span<const uint8_t> slot_used;
   TSO_RETURN_IF_ERROR(ViewSection(reader, *info, kFlatPois, &view.pois_));
   TSO_RETURN_IF_ERROR(ViewSection(reader, *info, kFlatTreeNodes, &nodes));
   TSO_RETURN_IF_ERROR(
       ViewSection(reader, *info, kFlatLeafOfPoi, &leaf_of_poi));
-  TSO_RETURN_IF_ERROR(ViewSection(reader, *info, kFlatPairs, &pairs));
-  TSO_RETURN_IF_ERROR(
-      ViewSection(reader, *info, kFlatHashBucketMul, &bucket_mul));
-  TSO_RETURN_IF_ERROR(
-      ViewSection(reader, *info, kFlatHashBucketOffset, &bucket_offset));
-  TSO_RETURN_IF_ERROR(ViewSection(reader, *info, kFlatHashSlotKey, &slot_key));
-  TSO_RETURN_IF_ERROR(
-      ViewSection(reader, *info, kFlatHashSlotValue, &slot_value));
-  TSO_RETURN_IF_ERROR(
-      ViewSection(reader, *info, kFlatHashSlotUsed, &slot_used));
-
-  // Cross-check the table's element counts against the meta scalars.
   if (view.pois_.size() != meta.num_pois ||
       leaf_of_poi.size() != meta.num_pois ||
-      nodes.size() != meta.num_tree_nodes ||
-      pairs.size() != meta.num_pairs ||
-      bucket_mul.size() != meta.hash_num_buckets ||
-      bucket_offset.size() !=
-          static_cast<size_t>(meta.hash_num_buckets) + 1) {
+      nodes.size() != meta.num_tree_nodes) {
     return Status::InvalidArgument(
         "flat oracle: section counts inconsistent with meta");
   }
-
-  TSO_RETURN_IF_ERROR(ValidateStructure(meta, view.pois_, nodes, leaf_of_poi,
-                                        pairs, bucket_offset, slot_key,
-                                        slot_value, slot_used));
-
+  TSO_RETURN_IF_ERROR(ValidateTree(meta, nodes, leaf_of_poi));
   view.tree_ = CompressedTreeView(nodes, leaf_of_poi, meta.tree_root,
                                   meta.tree_height);
-  if (info->header.minor_version >= 1) {
+
+  const uint32_t version = info->header.version;
+  if (version >= 2 || info->header.minor_version >= 1) {
     std::span<const uint32_t> ancestors;
     TSO_RETURN_IF_ERROR(
         ViewSection(reader, *info, kFlatAncestors, &ancestors));
@@ -352,11 +311,44 @@ StatusOr<OracleView> OracleView::FromBuffer(std::string_view buffer,
     return Status::InvalidArgument(
         "flat oracle: ancestor stride set in a minor-0 file");
   }
+
+  if (version == 1) {
+    // A v1 file keeps its pairs sorted by (a, b) beside FKS tables, which
+    // are not read: re-index the pairs with the pilot hash and serve the
+    // re-serialized v2 bytes, O(pairs) once per open.
+    std::span<const NodePair> pairs;
+    TSO_RETURN_IF_ERROR(ViewSection(reader, *info, kFlatPairs, &pairs));
+    if (pairs.size() != meta.num_pairs) {
+      return Status::InvalidArgument(
+          "flat oracle: section counts inconsistent with meta");
+    }
+    StatusOr<NodePairSet> set = NodePairSet::FromPairs(pairs);
+    if (!set.ok()) {
+      return Status::InvalidArgument("flat oracle v1: node-pairs: " +
+                                     set.status().message());
+    }
+    StatusOr<OracleView> converted = FromBytes(SerializeSeOracleFlat(
+        meta.epsilon, view.pois_, view.tree_, set->view()));
+    if (!converted.ok()) return converted.status();
+    converted->converted_from_v1_ = true;
+    return converted;
+  }
+
+  // The pilot hash: Slot() is < records.size() for every key once the
+  // shape below holds, so probes need no per-record guard.
+  std::span<const uint16_t> pilots;
+  std::span<const NodePair> records;
+  TSO_RETURN_IF_ERROR(ViewSection(reader, *info, kFlatPilots, &pilots));
+  TSO_RETURN_IF_ERROR(ViewSection(reader, *info, kFlatPairs, &records));
+  if (pilots.empty() || pilots.size() != meta.hash_num_buckets ||
+      records.empty() || records.size() != meta.hash_num_slots ||
+      records.size() < meta.num_pairs) {
+    return Status::InvalidArgument(
+        "flat oracle: pilot hash shape inconsistent with meta");
+  }
   view.pairs_ = NodePairSetView(
-      pairs,
-      PerfectHashView(meta.hash_mul1, meta.hash_num_buckets,
-                      meta.hash_num_keys, bucket_mul, bucket_offset, slot_key,
-                      slot_value, slot_used));
+      records, PerfectHashView(meta.hash_seed, records.size(), pilots),
+      meta.num_pairs);
   return view;
 }
 
@@ -365,7 +357,8 @@ StatusOr<OracleView> OracleView::FromBytes(std::string bytes,
   auto owned = std::make_shared<const std::string>(std::move(bytes));
   StatusOr<OracleView> view = FromBuffer(*owned, options);
   if (!view.ok()) return view.status();
-  view->owner_ = std::move(owned);
+  // A converted v1 view already owns its v2 bytes.
+  if (!view->converted_from_v1_) view->owner_ = std::move(owned);
   return view;
 }
 
@@ -380,7 +373,7 @@ StatusOr<OracleView> OracleView::Open(const std::string& path,
     // failed reload loop built on it) is diagnosable from the message alone.
     return Status::Annotate(view.status(), path);
   }
-  view->owner_ = std::move(shared);
+  if (!view->converted_from_v1_) view->owner_ = std::move(shared);
   return view;
 }
 

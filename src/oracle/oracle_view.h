@@ -36,7 +36,7 @@ class OracleView {
     /// over the file; catches silent corruption (bit flips, torn writes)
     /// that structural validation cannot. Off by default to keep the open
     /// path O(header + validation scan) — structural validation (bounds,
-    /// links, hash-table shape) ALWAYS runs, so a view that opened ok is
+    /// links, pilot-hash shape) ALWAYS runs, so a view that opened ok is
     /// memory-safe to query even on adversarial input; enable checksums
     /// when ingesting files from untrusted storage (`tso inspect` always
     /// verifies them).
@@ -44,7 +44,9 @@ class OracleView {
   };
 
   /// Opens a flat oracle over caller-owned bytes (`buffer` must outlive the
-  /// view and every result obtained through it).
+  /// view and every result obtained through it). A v1 file is converted to
+  /// v2 at open (O(pairs)); the view then owns the converted bytes and does
+  /// not reference `buffer` (see converted_from_v1()).
   static StatusOr<OracleView> FromBuffer(std::string_view buffer,
                                          const Options& options);
   static StatusOr<OracleView> FromBuffer(std::string_view buffer) {
@@ -106,8 +108,13 @@ class OracleView {
   /// heap-resident.
   size_t SizeBytes() const { return buffer_.size(); }
 
-  /// The raw flat-format bytes backing this view.
+  /// The raw flat-format bytes backing this view (v2 bytes, also for a
+  /// converted v1 file).
   std::string_view buffer() const { return buffer_; }
+
+  /// True if the bytes opened were a v1 file, now served from a converted
+  /// in-memory copy rather than in place.
+  bool converted_from_v1() const { return converted_from_v1_; }
 
  private:
   OracleView() = default;
@@ -127,6 +134,7 @@ class OracleView {
   std::span<const SurfacePoint> pois_;
   CompressedTreeView tree_;
   NodePairSetView pairs_;
+  bool converted_from_v1_ = false;
 };
 
 /// Parsed section table of a flat oracle, exposed for `tso inspect` and the

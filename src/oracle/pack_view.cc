@@ -105,40 +105,33 @@ StatusOr<std::string> SerializeOraclePack(const OracleView& oracle,
     shard_of_node[nd] = shard_of_poi[tree.node(nd).center];
   }
 
-  // Partition the canonical pair list by the first node's shard. The
-  // partition is stable, so each shard's subset stays in the canonical
-  // (a, b) order and the per-shard hash build is deterministic.
+  // Partition the pairs by the first node's shard. Each shard's pilot hash
+  // depends only on its pair set, so the shard bytes are deterministic.
   std::vector<std::vector<NodePair>> shard_pairs(num_shards);
+  uint64_t num_pairs = 0;
   for (const NodePair& pair : oracle.pair_set().pairs()) {
     if (pair.a >= tree.num_nodes() || pair.b >= tree.num_nodes()) {
       return Status::InvalidArgument("flat oracle: pair node id range");
     }
     shard_pairs[shard_of_node[pair.a]].push_back(pair);
+    ++num_pairs;
   }
 
   std::vector<std::string> shard_blobs;
   shard_blobs.reserve(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
     TSO_FAILPOINT("pack.write.section");
-    std::vector<std::pair<uint64_t, uint64_t>> entries;
-    entries.reserve(shard_pairs[s].size());
-    for (size_t i = 0; i < shard_pairs[s].size(); ++i) {
-      entries.emplace_back(PairKey(shard_pairs[s][i].a, shard_pairs[s][i].b),
-                           i);
-    }
-    StatusOr<PerfectHash> hash = PerfectHash::Build(entries);
-    if (!hash.ok()) return hash.status();
-    NodePairSet set = NodePairSet::FromParts(std::move(shard_pairs[s]),
-                                             std::move(*hash));
+    StatusOr<NodePairSet> set = NodePairSet::FromPairs(shard_pairs[s]);
+    if (!set.ok()) return set.status();
     shard_blobs.push_back(SerializeSeOracleFlat(
-        oracle.epsilon(), oracle.pois(), tree, set.view()));
+        oracle.epsilon(), oracle.pois(), tree, set->view()));
   }
 
   PackMeta meta{};
   meta.epsilon = oracle.epsilon();
   meta.num_pois = oracle.num_pois();
   meta.num_tree_nodes = tree.num_nodes();
-  meta.num_pairs_total = oracle.pair_set().size();
+  meta.num_pairs_total = num_pairs;
   meta.num_shards = num_shards;
   meta.policy = static_cast<uint32_t>(options.policy);
 

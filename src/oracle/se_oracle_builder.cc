@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -51,22 +50,6 @@ class ShardedDistMemo {
   Shard shards_[kShards];
 };
 
-/// Build-time enhanced-edge index (§3.5 Steps 2–3): for each pair of
-/// same-layer partition-tree nodes with d(c_O, c_O') <= l·r_O (l = 8/ε+10),
-/// the exact center distance. Keyed by ordered original-tree node ids.
-struct EnhancedEdges {
-  PerfectHash hash;
-  size_t count = 0;
-
-  bool Lookup(uint32_t a, uint32_t b, double* dist) const {
-    uint64_t bits;
-    if (!hash.Lookup(PairKey(a, b), &bits)) return false;
-    static_assert(sizeof(double) == sizeof(uint64_t));
-    std::memcpy(dist, &bits, sizeof(double));
-    return true;
-  }
-};
-
 /// Per-layer lookup structures shared by both enhanced-edge pipelines.
 struct EnhancedLayer {
   double reach = 0.0;                // candidate-pair distance cap
@@ -84,22 +67,18 @@ void EmitLayerEdges(const EnhancedLayer& layer,
                     const std::vector<uint32_t>& nodes, uint32_t i,
                     const GeodesicSolver& s, uint32_t source_index,
                     std::vector<uint32_t>* candidates,
-                    std::vector<std::pair<uint64_t, uint64_t>>* out) {
+                    std::vector<NodePair>* out) {
   const SurfacePoint& center = layer.center_points[i];
   layer.grid->Query(center.pos.x, center.pos.y, layer.reach, candidates);
   for (uint32_t j : *candidates) {
     if (j == i) continue;
     const double d =
         s.BatchPointDistance(source_index, layer.center_points[j]);
-    if (d <= layer.reach) {
-      uint64_t bits;
-      std::memcpy(&bits, &d, sizeof(double));
-      out->emplace_back(PairKey(nodes[i], nodes[j]), bits);
-    }
+    if (d <= layer.reach) out->push_back({nodes[i], nodes[j], d});
   }
 }
 
-using EdgeEntries = std::vector<std::pair<uint64_t, uint64_t>>;
+using EdgeEntries = std::vector<NodePair>;
 
 /// Runs `process(solver, index, out)` for indices [0, count): serially on
 /// the injected solver when a worker pool would not pay off, otherwise
@@ -150,7 +129,11 @@ Status ShardEnhancedWork(
   return Status::Ok();
 }
 
-StatusOr<EnhancedEdges> BuildEnhancedEdges(
+/// Build-time enhanced-edge index (§3.5 Steps 2–3): for each pair of
+/// same-layer partition-tree nodes with d(c_O, c_O') <= l·r_O (l = 8/ε+10),
+/// the exact center distance, as a NodePair of ordered original-tree node
+/// ids, indexed by the same pilot hash as the oracle's own pair set.
+StatusOr<NodePairSet> BuildEnhancedEdges(
     const PartitionTree& tree, const std::vector<SurfacePoint>& pois,
     GeodesicSolver& solver, const SeOracleOptions& options,
     uint32_t num_threads, SeBuildStats* st) {
@@ -213,7 +196,7 @@ StatusOr<EnhancedEdges> BuildEnhancedEdges(
                    source_index, candidates, out);
   };
 
-  std::vector<std::pair<uint64_t, uint64_t>> entries;
+  EdgeEntries entries;
 
   if (batch_limit == 1) {
     // Per-center pipeline (no multi-source batching): one work item per
@@ -321,12 +304,7 @@ StatusOr<EnhancedEdges> BuildEnhancedEdges(
         &entries));
   }
 
-  EnhancedEdges edges;
-  edges.count = entries.size();
-  StatusOr<PerfectHash> hash = PerfectHash::Build(entries);
-  if (!hash.ok()) return hash.status();
-  edges.hash = std::move(*hash);
-  return edges;
+  return NodePairSet::FromPairs(entries);
 }
 
 }  // namespace
@@ -378,14 +356,14 @@ StatusOr<SeOracle> SeOracleBuilder::Build(std::vector<SurfacePoint> pois) {
 
   // --- Steps 2+3 (efficient only): enhanced edges + perfect hash ---
   phase_timer.Reset();
-  EnhancedEdges enhanced;
+  NodePairSet enhanced;
   if (options.construction == ConstructionMethod::kEfficient &&
       pois.size() > 1) {
-    StatusOr<EnhancedEdges> built = BuildEnhancedEdges(
+    StatusOr<NodePairSet> built = BuildEnhancedEdges(
         *tree, pois, solver, options, num_threads, &st);
     if (!built.ok()) return built.status();
     enhanced = std::move(*built);
-    st.enhanced_edges = enhanced.count;
+    st.enhanced_edges = enhanced.size();
   }
   st.enhanced_seconds = phase_timer.ElapsedSeconds();
 

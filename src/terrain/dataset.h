@@ -36,8 +36,8 @@ struct Dataset {
   size_t n() const { return pois.size(); }
 };
 
-/// Materializes a scaled-down stand-in for a paper dataset (see DESIGN.md §3
-/// substitution 1). `target_vertices` and `num_pois` default to 0 =
+/// Materializes a scaled-down stand-in for a paper dataset (see
+/// docs/reproduction.md, substitution 1). `target_vertices` and `num_pois` default to 0 =
 /// "suite-scale defaults" chosen so the full benchmark suite runs in minutes.
 StatusOr<Dataset> MakePaperDataset(PaperDataset which,
                                    uint32_t target_vertices = 0,

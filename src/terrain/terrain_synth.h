@@ -11,7 +11,7 @@ namespace tso {
 /// value noise, optionally ridged for mountainous relief).
 ///
 /// These stand in for the proprietary DEM rasters used in the paper (see
-/// DESIGN.md §3, substitution 1). The field is a continuous function of
+/// docs/reproduction.md, substitution 1). The field is a continuous function of
 /// (x, y), so the same terrain can be sampled at any resolution — which is
 /// how the effect-of-N experiment re-meshes "the same region" (§5.2.1).
 struct SynthSpec {

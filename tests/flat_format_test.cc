@@ -55,7 +55,7 @@ TEST(FlatFormat, HeaderAndSectionTableWellFormed) {
   EXPECT_EQ(info->header.version, kFlatFormatVersion);
   EXPECT_EQ(info->header.file_size, fx.blob.size());
   EXPECT_EQ(info->header.minor_version, kFlatFormatMinorVersion);
-  ASSERT_EQ(info->sections.size(), kFlatSectionCountMinor1);
+  ASSERT_EQ(info->sections.size(), kFlatSectionCountV2);
   uint64_t prev_end = 0;
   for (const FlatSectionEntry& e : info->sections) {
     EXPECT_EQ(e.offset % kFlatSectionAlign, 0u) << FlatSectionName(e.id);
@@ -277,6 +277,43 @@ TEST(FlatFormat, SiblingCycleRejectedWithoutChecksums) {
   no_verify.verify_checksums = false;
   EXPECT_FALSE(OracleView::FromBuffer(corrupt, no_verify).ok());
   EXPECT_TRUE(OracleView::FromBuffer(fx.blob, no_verify).ok());
+}
+
+TEST(FlatFormat, PilotHashShapeMismatchRejected) {
+  // The probe trusts the pilot hash's shape: Slot() < records.size() holds
+  // only if the meta counts match the sections. Each mismatch must fail the
+  // open with a Status, checksums off (the meta CRC is not consulted).
+  FlatFixture& fx = Fixture();
+  StatusOr<FlatFileInfo> info = ReadFlatFileInfo(fx.blob);
+  ASSERT_TRUE(info.ok());
+  uint64_t meta_offset = 0;
+  for (const FlatSectionEntry& e : info->sections) {
+    if (e.id == kFlatMeta) meta_offset = e.offset;
+  }
+  ASSERT_NE(meta_offset, 0u);
+  FlatMeta meta;
+  std::memcpy(&meta, fx.blob.data() + meta_offset, sizeof(meta));
+  ASSERT_GE(meta.hash_num_slots, meta.num_pairs);
+  const auto patched = [&](auto&& edit) {
+    FlatMeta bad_meta = meta;
+    edit(bad_meta);
+    std::string bad = fx.blob;
+    std::memcpy(bad.data() + meta_offset, &bad_meta, sizeof(bad_meta));
+    return bad;
+  };
+  const std::string cases[] = {
+      patched([](FlatMeta& m) { m.hash_num_buckets += 1; }),
+      patched([](FlatMeta& m) { m.hash_num_buckets = 0; }),
+      patched([](FlatMeta& m) { m.hash_num_slots -= 1; }),
+      patched([](FlatMeta& m) { m.num_pairs = m.hash_num_slots + 1; }),
+  };
+  for (const std::string& bad : cases) {
+    StatusOr<OracleView> view = OracleView::FromBuffer(bad);
+    ASSERT_FALSE(view.ok());
+    EXPECT_EQ(view.status().code(), StatusCode::kInvalidArgument)
+        << view.status().ToString();
+  }
+  EXPECT_TRUE(OracleView::FromBuffer(fx.blob).ok());
 }
 
 TEST(FlatFormat, HeaderCorruptionRejected) {

@@ -1,5 +1,6 @@
 #include "oracle/se_oracle.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -346,23 +347,45 @@ TEST(SeOracle, BatchedParallelBuildMatchesSerialUnbatched) {
   }
 }
 
+/// CRC-32 of an oracle's format-independent content: the POIs, the tree
+/// nodes, and the node-pair records sorted by (a, b). It does not depend on
+/// how the file hashes or lays out the pairs, so it pins a build across
+/// format versions.
+uint32_t ContentCrc(const OracleView& view) {
+  auto stored = view.pair_set().pairs();
+  std::vector<NodePair> pairs(stored.begin(), stored.end());
+  std::sort(pairs.begin(), pairs.end(),
+            [](const NodePair& x, const NodePair& y) {
+              return x.a != y.a ? x.a < y.a : x.b < y.b;
+            });
+  uint32_t crc = Crc32(view.pois().data(), view.pois().size_bytes());
+  crc = Crc32(view.tree().nodes().data(), view.tree().nodes().size_bytes(),
+              crc);
+  return Crc32(pairs.data(), pairs.size() * sizeof(NodePair), crc);
+}
+
 TEST(SeOracle, MmpBuildMatchesRecordedBytes) {
-  // Pins the exact MMP build's serialized bytes at 1 and 4 threads. How
-  // the enhanced-edge phase schedules its SSADs (one resumable sweep per
-  // distinct center, extended layer by layer) must never show in the
-  // artifact. At ε = 0.1 every layer's reach is capped at 2·r_0, so no
-  // sweep grows; at ε = 0.25 the deepest layers' reaches are not, so sweeps
-  // are extended, and an extension that lost labels would miss enhanced
-  // edges.
+  // Pins the exact MMP build at 1 and 4 threads. How the enhanced-edge
+  // phase schedules its SSADs (one resumable sweep per distinct center,
+  // extended layer by layer) must never show in the artifact. At ε = 0.1
+  // every layer's reach is capped at 2·r_0, so no sweep grows; at ε = 0.25
+  // the deepest layers' reaches are not, so sweeps are extended, and an
+  // extension that lost labels would miss enhanced edges.
+  //
+  // Two pins: the content CRC (format-independent; recorded from the
+  // TSOFLAT 1.1 build, so it proves the 2.0 format stores the same oracle)
+  // and the size and CRC of the TSOFLAT 2.0 bytes.
   OracleFixture fx(60, 37);
   const TerrainMesh& mesh = *fx.ds->mesh;
   struct Recorded {
     double epsilon;
+    uint32_t content_crc32;
     size_t bytes;
     uint32_t crc32;
   };
-  for (const Recorded& want : {Recorded{0.1, 230784, 1695388641u},
-                               Recorded{0.25, 228608, 2117601540u}}) {
+  for (const Recorded& want :
+       {Recorded{0.1, 2882133747u, 70336, 2762528248u},
+        Recorded{0.25, 2847360771u, 68736, 3101234895u}}) {
     for (uint32_t threads : {1u, 4u}) {
       SeOracleOptions options;
       options.epsilon = want.epsilon;
@@ -374,9 +397,11 @@ TEST(SeOracle, MmpBuildMatchesRecordedBytes) {
         options.num_threads = threads;
       }
       SeBuildStats stats;
-      const std::string blob =
-          SerializeSeOracleFlat(fx.BuildOracle(options, &stats));
+      const SeOracle oracle = fx.BuildOracle(options, &stats);
+      const std::string blob = SerializeSeOracleFlat(oracle);
       EXPECT_EQ(stats.distance_fallbacks, 0u)
+          << "eps=" << want.epsilon << " threads=" << threads;
+      EXPECT_EQ(ContentCrc(oracle), want.content_crc32)
           << "eps=" << want.epsilon << " threads=" << threads;
       EXPECT_EQ(blob.size(), want.bytes)
           << "eps=" << want.epsilon << " threads=" << threads;

@@ -794,11 +794,13 @@ int CmdQuery(const Args& args) {
     std::fprintf(stderr, "tso: open: %s\n", view.status().ToString().c_str());
     return 1;
   }
-  std::printf(
-      "mapped oracle (zero-copy): n=%zu POIs eps=%.3g height=%d "
-      "(%.1f KiB shared read-only)\n",
-      view->num_pois(), view->epsilon(), view->height(),
-      view->SizeBytes() / 1024.0);
+  const bool converted = view->converted_from_v1();
+  std::printf("%s: n=%zu POIs eps=%.3g height=%d (%.1f KiB %s)\n",
+              converted ? "converted v1 oracle to TSOFLAT v2 in memory"
+                        : "mapped oracle (zero-copy)",
+              view->num_pois(), view->epsilon(), view->height(),
+              view->SizeBytes() / 1024.0,
+              converted ? "heap" : "shared read-only");
   return RunQueryPairs(args, *view);
 }
 
@@ -1610,7 +1612,11 @@ int InspectPack(const std::string& path, const std::string& bytes,
                      FlatSectionName(se.id));
         return 1;
       }
-      if (se.id == kFlatPairs) pairs = se.count;
+      if (se.id == kFlatMeta && se.size == sizeof(FlatMeta)) {
+        FlatMeta meta;
+        std::memcpy(&meta, shard_bytes.data() + se.offset, sizeof(meta));
+        pairs = meta.num_pairs;
+      }
     }
     if (deep) {
       std::printf("    shard %u: %u sections, %zu node pairs "
@@ -1637,6 +1643,32 @@ int InspectPack(const std::string& path, const std::string& bytes,
       pack->num_pois(), pack->epsilon(), pack->height(),
       static_cast<unsigned long long>(pack->meta().num_pairs_total));
   return 0;
+}
+
+/// The oracle's space report: bytes per stored pair of the pair index
+/// (the node-pair records plus the hash that places them: pilots in v2,
+/// the FKS tables in v1), and the file against a dense n × n matrix of
+/// 8-byte distances, the structure the oracle competes with.
+void PrintSpace(const FlatFileInfo& info, const FlatMeta& meta,
+                size_t file_bytes) {
+  uint64_t index_bytes = 0;
+  for (const FlatSectionEntry& e : info.sections) {
+    if (e.id == kFlatPairs || e.id == kFlatPilots ||
+        (e.id >= kFlatHashBucketMul && e.id <= kFlatHashSlotUsed)) {
+      index_bytes += e.size;
+    }
+  }
+  const double matrix_bytes = 8.0 * static_cast<double>(meta.num_pois) *
+                              static_cast<double>(meta.num_pois);
+  std::printf("  space: %.2f bytes per pair (pair index %llu bytes, %llu "
+              "pairs); file %.2fx a dense n^2 x 8-byte matrix (%.0f bytes)\n",
+              meta.num_pairs == 0 ? 0.0
+                                  : static_cast<double>(index_bytes) /
+                                        static_cast<double>(meta.num_pairs),
+              static_cast<unsigned long long>(index_bytes),
+              static_cast<unsigned long long>(meta.num_pairs),
+              matrix_bytes == 0.0 ? 0.0 : file_bytes / matrix_bytes,
+              matrix_bytes);
 }
 
 int InspectFile(const Args& args) {
@@ -1706,6 +1738,11 @@ int InspectFile(const Args& args) {
                   "section %s-aligned)\n",
                   sizeof(NodePair), 64 / sizeof(NodePair),
                   SectionAlignment(e.offset) >= 64 ? "line" : "NOT line");
+    } else if (e.id == kFlatPilots) {
+      std::printf("  layout: pilots        %2zu B/bucket (%llu buckets, %.1f "
+                  "KiB: one pilot + one record line per probe)\n",
+                  sizeof(uint16_t), static_cast<unsigned long long>(e.count),
+                  e.size / 1024.0);
     } else if (e.id == kFlatAncestors) {
       const uint32_t stride = flat_meta.ancestor_stride;
       std::printf("  layout: ancestor rows %2u ids/row (%u B, %s 64B lines, "
@@ -1715,11 +1752,17 @@ int InspectFile(const Args& args) {
                   SectionAlignment(e.offset) >= 64 ? "line" : "NOT line");
     }
   }
+  PrintSpace(*info, flat_meta, bytes.size());
   StatusOr<OracleView> view = OracleView::FromBuffer(bytes);
   if (!view.ok()) {
     std::fprintf(stderr, "tso: structural validation FAILED: %s\n",
                  view.status().ToString().c_str());
     return 1;
+  }
+  if (view->converted_from_v1()) {
+    std::printf("  converted v1 oracle to TSOFLAT v2 in memory: %zu bytes "
+                "as v2\n",
+                view->SizeBytes());
   }
   std::printf(
       "  oracle: n=%zu POIs eps=%.3g height=%d node_pairs=%zu "
