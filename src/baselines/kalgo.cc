@@ -1,11 +1,12 @@
 #include "baselines/kalgo.h"
 
 #include "base/timer.h"
+#include "oracle/node_pair_set.h"
 
 namespace tso {
 
 StatusOr<KAlgo> KAlgo::Create(const TerrainMesh& mesh, double epsilon) {
-  if (epsilon <= 0.0) return Status::InvalidArgument("epsilon must be > 0");
+  TSO_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
   WallTimer timer;
   KAlgo algo;
   StatusOr<SteinerGraph> graph = SteinerGraph::Build(

@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "base/failpoint.h"
+#include "oracle/node_pair_set.h"
 
 namespace tso {
 
@@ -72,6 +73,7 @@ StatusOr<std::unique_ptr<DynamicSeOracle>> DynamicSeOracle::Mount(
 StatusOr<std::unique_ptr<DynamicSeOracle>> DynamicSeOracle::Create(
     const TerrainMesh& mesh, std::vector<SurfacePoint> pois,
     GeodesicSolver& solver, const DynamicOracleOptions& options) {
+  TSO_RETURN_IF_ERROR(ValidateEpsilon(options.base.epsilon));
   StatusOr<SeOracle> built =
       SeOracle::Build(mesh, std::move(pois), solver, options.base);
   if (!built.ok()) return built.status();

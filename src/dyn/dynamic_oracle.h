@@ -67,26 +67,18 @@ class DynamicSnapshot final : public DistanceOverlay {
 
   /// Exact distance when either live endpoint is a delta POI. Invariant
   /// behind the two-sided probe: a delta row covers every id live at its
-  /// merge point, so for any live-live pair the younger row has the finite
-  /// entry even when the older one predates its peer.
+  /// merge point, so for any live-live pair the younger row (the larger
+  /// slot; slots are handed out in merge order) has the finite entry even
+  /// when the older one predates its peer. The younger row is read first
+  /// whatever the argument order, so (s, t) and (t, s) return the same
+  /// SSAD's value.
   bool TryExact(uint32_t s, uint32_t t, double* out) const override {
     const int32_t rs = delta_slot_[s];
     const int32_t rt = delta_slot_[t];
     if (rs < 0 && rt < 0) return false;
-    if (rs >= 0) {
-      const std::vector<double>& row = *rows_[rs];
-      if (t < row.size() && row[t] != kInfDist) {
-        *out = row[t];
-        return true;
-      }
-    }
-    if (rt >= 0) {
-      const std::vector<double>& row = *rows_[rt];
-      if (s < row.size() && row[s] != kInfDist) {
-        *out = row[s];
-        return true;
-      }
-    }
+    const bool s_younger = rs > rt;
+    if (ReadRow(s_younger ? rs : rt, s_younger ? t : s, out)) return true;
+    if (ReadRow(s_younger ? rt : rs, s_younger ? s : t, out)) return true;
     *out = kInfDist;
     return true;
   }
@@ -102,6 +94,16 @@ class DynamicSnapshot final : public DistanceOverlay {
 
  private:
   friend class DynamicSeOracle;
+
+  /// True with *out set iff delta row `slot` (>= 0) has a finite entry for
+  /// `peer`.
+  bool ReadRow(int32_t slot, uint32_t peer, double* out) const {
+    if (slot < 0) return false;
+    const std::vector<double>& row = *rows_[slot];
+    if (peer >= row.size() || row[peer] == kInfDist) return false;
+    *out = row[peer];
+    return true;
+  }
 
   /// The immutable base generation, shared by every snapshot published on
   /// top of it and released (dropping the view's bytes) when the last such

@@ -3,42 +3,18 @@
 namespace tso {
 namespace {
 
-/// Degraded-pack error path, reached only when the main scan found no pair
-/// (never on the hot path). A miss on a probe whose owning shard is dead is
-/// not a real miss — the pair may have been in the dead shard. Two outs:
-/// every pair is stored in both orientations (pack_format.h), so the
-/// reverse probe (b, a) — owned by the other endpoint's shard — can still
-/// answer with the same pair's reverse-orientation record (the two
-/// orientations' distances are computed from opposite SSAD sources, so a
-/// rescued answer carries the same ε guarantee but may differ from the
-/// forward record in final ulps); if both orientations route to dead
-/// shards, the query is honestly kUnavailable rather than silently wrong.
-/// `Probe(a, b)` returns true with *d set when the reverse orientation
-/// rescued the pair.
-class DegradedProber {
- public:
-  explicit DegradedProber(const PairSource& pairs) : pairs_(pairs) {}
-
-  bool Probe(uint32_t a, uint32_t b, double* d) {
-    if (pairs_.Available(a)) return false;  // the main scan's miss was real
-    if (pairs_.Available(b) && pairs_.Lookup(b, a, d)) return true;
-    unavailable_ = true;
-    return false;
+/// The answer when no candidate pair was found: kUnavailable when some
+/// probe's pair lives only in dead shards of a degraded pack (the match may
+/// have been there), otherwise a violation of the unique node pair match
+/// property.
+Status NoPairFound(bool unavailable) {
+  if (unavailable) {
+    return Status::Unavailable(
+        "distance probe routed to an unavailable shard (degraded pack)");
   }
-
-  Status Verdict() const {
-    if (unavailable_) {
-      return Status::Unavailable(
-          "distance probe routed to an unavailable shard (degraded pack)");
-    }
-    return Status::Internal(
-        "unique node pair match property violated: no pair found");
-  }
-
- private:
-  const PairSource& pairs_;
-  bool unavailable_ = false;
-};
+  return Status::Internal(
+      "unique node pair match property violated: no pair found");
+}
 
 /// Visits the §3.4 candidate pairs <O, O'> (O in A_s, O' in A_t) in probe
 /// order — pass 1 (same layer), pass 2 (first-higher), pass 3 (first-lower)
@@ -91,24 +67,13 @@ StatusOr<double> OracleDistance(const CompressedTreeView& tree,
   const std::span<const uint32_t> as = tree.AncestorsOfPoi(s, &scratch.a);
   const std::span<const uint32_t> at = tree.AncestorsOfPoi(t, &scratch.b);
   double d;
+  bool unavailable = false;
   if (ForEachCandidate(tree, as, at, [&](uint32_t a, uint32_t b) {
-        return pairs.Lookup(a, b, &d);
+        return pairs.Lookup(a, b, &d, &unavailable);
       })) {
     return d;
   }
-  if (!pairs.degraded()) {
-    return Status::Internal(
-        "unique node pair match property violated: no pair found");
-  }
-  // Re-walk the same probe sequence through the degraded prober: rescue the
-  // match via its reverse orientation, or report the dead shard.
-  DegradedProber prober(pairs);
-  if (ForEachCandidate(tree, as, at, [&](uint32_t a, uint32_t b) {
-        return prober.Probe(a, b, &d);
-      })) {
-    return d;
-  }
-  return prober.Verdict();
+  return NoPairFound(unavailable);
 }
 
 StatusOr<double> OracleDistanceNaive(const CompressedTreeView& tree,
@@ -121,24 +86,17 @@ StatusOr<double> OracleDistanceNaive(const CompressedTreeView& tree,
   tree.AncestorArray(tree.leaf_of_poi(s), &as);
   tree.AncestorArray(tree.leaf_of_poi(t), &at);
   double d;
+  bool unavailable = false;
   for (int i = 0; i <= h; ++i) {
     if (as[i] == kInvalidId) continue;
     for (int j = 0; j <= h; ++j) {
-      if (at[j] != kInvalidId && pairs.Lookup(as[i], at[j], &d)) return d;
+      if (at[j] != kInvalidId &&
+          pairs.Lookup(as[i], at[j], &d, &unavailable)) {
+        return d;
+      }
     }
   }
-  if (!pairs.degraded()) {
-    return Status::Internal(
-        "unique node pair match property violated: no pair found");
-  }
-  DegradedProber prober(pairs);
-  for (int i = 0; i <= h; ++i) {
-    if (as[i] == kInvalidId) continue;
-    for (int j = 0; j <= h; ++j) {
-      if (at[j] != kInvalidId && prober.Probe(as[i], at[j], &d)) return d;
-    }
-  }
-  return prober.Verdict();
+  return NoPairFound(unavailable);
 }
 
 }  // namespace tso

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "base/status.h"
@@ -27,15 +28,20 @@ struct QueryScratch {
 
 /// Where a query probe finds its node pairs: either one monolithic
 /// NodePairSetView (SeOracle, OracleView) or the shards of an oracle pack
-/// routed by the pair's first node (PackView). Implicitly constructible
-/// from a NodePairSetView so the monolithic call sites read unchanged.
+/// (PackView). Implicitly constructible from a NodePairSetView so the
+/// monolithic call sites read unchanged.
+///
+/// Every set stores each unordered pair once, as (min, max) (see NodePair),
+/// and Lookup canonicalizes the probe key. This is the one place every
+/// query probes through (§3.4, naive, kNN, range, the dynamic base), so
+/// Distance(s, t) and Distance(t, s) read the same record, bit for bit.
 ///
 /// Sharded routing is exact, not approximate: the pack writer places every
-/// pair record (a, b) in the shard of node `a` (see oracle/pack_format.h),
-/// and the recursion of §3.3 emits each unordered pair in both
-/// orientations, so a probe for (a, b) is answered entirely by shard(a) —
-/// the same stored double a monolithic set would return. Bit-identical
-/// results follow for every query built on top.
+/// record (a, b) in the shards of both endpoints (see oracle/pack_format.h),
+/// so a probe goes to shard(a), or to shard(b) when shard(a) is dead, and
+/// either returns the same stored double a monolithic set would. A degraded
+/// pack therefore answers with the healthy pack's bits, and a probe is
+/// unavailable only when both endpoints' shards are dead.
 ///
 /// Non-owning (spans); the backing shard views and routing table must
 /// outlive the source.
@@ -45,13 +51,12 @@ class PairSource {
   /// Monolithic: every probe goes to `single`. Intentionally implicit.
   PairSource(NodePairSetView single)  // NOLINT(google-explicit-constructor)
       : single_(single) {}
-  /// Sharded: a probe for (a, b) goes to shards[shard_of_node[a]].
-  /// `shard_ok` is the degraded-open availability bitmap (one byte per
-  /// shard, 1 = live); pass an empty span — the healthy fast path — when
-  /// every shard opened. A dead shard's entry in `shards` must be an empty
-  /// NodePairSetView so its probes miss safely; Available() is what turns
-  /// those misses into kUnavailable instead of a wrong answer (see
-  /// OracleDistance).
+  /// Sharded: a probe for canonical (a, b) goes to shards[shard_of_node[a]]
+  /// or, when that shard is dead, to shards[shard_of_node[b]]. `shard_ok`
+  /// is the degraded-open availability bitmap (one byte per shard, 1 =
+  /// live); pass an empty span — the healthy fast path — when every shard
+  /// opened. A dead shard's entry in `shards` must be an empty
+  /// NodePairSetView so a probe that reaches it misses safely.
   static PairSource Sharded(std::span<const NodePairSetView> shards,
                             std::span<const uint32_t> shard_of_node,
                             std::span<const uint8_t> shard_ok = {}) {
@@ -62,32 +67,37 @@ class PairSource {
     return s;
   }
 
-  /// O(1) probe: true and *distance set iff (a, b) is in the set. Out-of-
-  /// range node ids and corrupt routing entries miss (return false) rather
-  /// than fault, matching the hardening of NodePairSetView::Lookup.
-  bool Lookup(uint32_t a, uint32_t b, double* distance) const {
+  /// O(1) probe: true and *distance set iff the unordered pair {a, b} is
+  /// in the set. A miss because both shards that hold {a, b} are dead sets
+  /// *unavailable (a degraded pack's answer is then kUnavailable, never a
+  /// wrong distance; see OracleDistance). Out-of-range node ids and corrupt
+  /// routing entries miss rather than fault, matching the hardening of
+  /// NodePairSetView::Lookup.
+  bool Lookup(uint32_t a, uint32_t b, double* distance,
+              bool* unavailable) const {
+    if (a > b) std::swap(a, b);
     if (shards_.empty()) return single_.Lookup(a, b, distance);
-    if (a >= shard_of_node_.size()) return false;
-    const uint32_t shard = shard_of_node_[a];
+    if (b >= shard_of_node_.size()) return false;
+    uint32_t shard = shard_of_node_[a];
+    if (!Live(shard)) {
+      shard = shard_of_node_[b];
+      if (!Live(shard)) {
+        *unavailable = true;
+        return false;
+      }
+    }
     if (shard >= shards_.size()) return false;  // corrupt routing table
     return shards_[shard].Lookup(a, b, distance);
   }
 
-  /// True iff the shard that owns probes keyed by node `a` is available.
-  /// Always true for monolithic sources and healthy packs (empty bitmap).
-  bool Available(uint32_t a) const {
-    if (shard_ok_.empty()) return true;
-    if (a >= shard_of_node_.size()) return true;  // misses anyway
-    const uint32_t shard = shard_of_node_[a];
-    return shard >= shard_ok_.size() || shard_ok_[shard] != 0;
+ private:
+  /// Always true for monolithic sources and healthy packs (empty bitmap);
+  /// an out-of-range shard counts as live and then misses.
+  bool Live(uint32_t shard) const {
+    return shard_ok_.empty() || shard >= shard_ok_.size() ||
+           shard_ok_[shard] != 0;
   }
 
-  bool sharded() const { return !shards_.empty(); }
-  size_t num_shards() const { return shards_.size(); }
-  /// True when this source was opened degraded (some shard unavailable).
-  bool degraded() const { return !shard_ok_.empty(); }
-
- private:
   NodePairSetView single_;
   std::span<const NodePairSetView> shards_;
   std::span<const uint32_t> shard_of_node_;

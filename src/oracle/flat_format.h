@@ -28,11 +28,14 @@ static_assert(std::endian::native == std::endian::little,
 
 inline constexpr char kFlatMagic[8] = {'T', 'S', 'O', 'F',
                                        'L', 'A', 'T', '\n'};
-/// Version 2 stores the node pairs in the slot order of a pilot-table
-/// perfect hash (base/perfect_hash.h). Version 1 (minors 0 and 1) indexed
-/// them with a separate FKS table; readers still open v1 files by
-/// converting them to v2 in memory (OracleView::FromBuffer).
-inline constexpr uint32_t kFlatFormatVersion = 2;
+/// Version 3 stores each unordered node pair once, in its canonical
+/// orientation a <= b, in the slot order of a pilot-table perfect hash
+/// (base/perfect_hash.h). Version 2 had the same sections but stored both
+/// orientations, so a v2 reader would miss the probes a v3 file no longer
+/// answers in reverse. Version 1 (minors 0 and 1) also stored both, indexed
+/// by a separate FKS table. Readers open v1 and v2 files by converting them
+/// to v3 in memory (OracleView::FromBuffer).
+inline constexpr uint32_t kFlatFormatVersion = 3;
 /// Layout revision within kFlatFormatVersion. Readers accept any minor <=
 /// the build's kFlatFormatMinorVersion; writers always emit the newest.
 /// See docs/oracle-format.md for the versioning policy.
@@ -45,15 +48,16 @@ inline constexpr uint32_t kFlatEndianTag = 0x01020304u;
 inline constexpr uint64_t kFlatSectionAlign = 64;
 
 /// Section ids. The loader requires exactly the set of the file's version,
-/// each exactly once, in the order of that version (kFlatSectionOrderV2 /
-/// the v1 orders in oracle_view.cc).
+/// each exactly once, in the order of that version (kFlatSectionOrderV2 for
+/// v2 and v3 / the v1 orders in oracle_view.cc).
 enum FlatSectionId : uint32_t {
   kFlatMeta = 1,       // FlatMeta × 1
   kFlatPois = 2,       // SurfacePoint × num_pois
   kFlatTreeNodes = 3,  // CompressedTreeNode × num_tree_nodes
   kFlatLeafOfPoi = 4,  // uint32 × num_pois
-  // v2: NodePair × hash_num_slots, in hash-slot order (empty slots hold
-  // kEmptyPairSlot). v1: NodePair × num_pairs, sorted by (a, b).
+  // v2/v3: NodePair × hash_num_slots, in hash-slot order (empty slots hold
+  // kEmptyPairSlot; v3 records have a <= b). v1: NodePair × num_pairs,
+  // sorted by (a, b).
   kFlatPairs = 5,
   // v1 only: the FKS tables, skipped by the v1 converter.
   kFlatHashBucketMul = 6,
@@ -61,10 +65,10 @@ enum FlatSectionId : uint32_t {
   kFlatHashSlotKey = 8,
   kFlatHashSlotValue = 9,
   kFlatHashSlotUsed = 10,
-  kFlatAncestors = 11,  // uint32 × (num_pois × ancestor_stride); v1.1 and v2
-  kFlatPilots = 12,     // v2: uint16 × hash_num_buckets
+  kFlatAncestors = 11,  // uint32 × (num_pois × ancestor_stride); v1.1 and up
+  kFlatPilots = 12,     // v2/v3: uint16 × hash_num_buckets
 };
-/// The sections of a v2 file, in file order.
+/// The sections of a v2 or v3 file, in file order.
 inline constexpr FlatSectionId kFlatSectionOrderV2[] = {
     kFlatMeta,   kFlatPois,  kFlatTreeNodes, kFlatLeafOfPoi,
     kFlatPilots, kFlatPairs, kFlatAncestors};
@@ -91,7 +95,7 @@ const char* FlatSectionName(uint32_t id);
 struct FlatHeader {
   char magic[8];        // kFlatMagic
   uint32_t endian_tag;  // kFlatEndianTag, as written by the producer
-  uint32_t version;     // kFlatFormatVersion (1: converted at open)
+  uint32_t version;     // kFlatFormatVersion (1, 2: converted at open)
   uint64_t file_size;   // total bytes: cheap truncation detection
   uint32_t section_count;      // kFlatSectionCountV2 (v1: 10 or 11)
   uint32_t section_table_crc;  // CRC32 of the section-table bytes

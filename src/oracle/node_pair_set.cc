@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <deque>
 #include <thread>
 #include <utility>
@@ -23,18 +24,23 @@ struct SplitWalk {
   size_t dist_evals = 0;
 
   /// Processes one pair: emits it if well-separated, otherwise feeds the
-  /// split children to `push(a, b)`.
+  /// split children to `push(a, b)`. The recursion still visits both
+  /// orientations of a pair, but the separation test reads the canonical
+  /// orientation's center distance, so (a, b) and (b, a) get the same
+  /// verdict and the set is symmetric by construction; only the canonical
+  /// record (a <= b) is emitted.
   template <typename PushFn>
   void Step(uint32_t a, uint32_t b, PushFn&& push) {
     ++considered;
     const CompressedTree::Node& na = tree.node(a);
     const CompressedTree::Node& nb = tree.node(b);
-    const double dist = center_dist(na.center, nb.center);
+    const double dist = a <= b ? center_dist(na.center, nb.center)
+                               : center_dist(nb.center, na.center);
     ++dist_evals;
     // Radii of the *enlarged* disks (2x node radius; Distance property).
     const double enlarged = 2.0 * std::max(na.radius, nb.radius);
     if (dist >= separation * enlarged) {
-      out->push_back({a, b, dist});
+      if (a <= b) out->push_back({a, b, dist});
       return;
     }
     // Split the larger-radius node (ties: smaller node id, §3.3).
@@ -68,6 +74,13 @@ struct SplitWalk {
 
 }  // namespace
 
+Status ValidateEpsilon(double epsilon) {
+  if (!std::isfinite(epsilon) || !(epsilon > 0.0)) {
+    return Status::InvalidArgument("epsilon must be finite and positive");
+  }
+  return Status::Ok();
+}
+
 StatusOr<NodePairSet> NodePairSet::FromPairs(std::span<const NodePair> pairs) {
   std::vector<uint64_t> keys;
   keys.reserve(pairs.size());
@@ -95,9 +108,7 @@ StatusOr<NodePairSet> NodePairSet::Generate(
     const CompressedTree& tree, double epsilon,
     const std::function<double(uint32_t, uint32_t)>& center_dist,
     NodePairSetStats* stats) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  TSO_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
   const double separation = 2.0 / epsilon + 2.0;
 
   std::vector<NodePair> pairs;
@@ -117,14 +128,12 @@ StatusOr<NodePairSet> NodePairSet::Generate(
 StatusOr<NodePairSet> NodePairSet::Generate(
     const CompressedTree& tree, double epsilon,
     const NodePairParallelOptions& options, NodePairSetStats* stats) {
-  if (options.num_threads <= 1 || options.make_center_dist == nullptr) {
-    if (options.make_center_dist == nullptr) {
-      return Status::InvalidArgument("make_center_dist is required");
-    }
-    return Generate(tree, epsilon, options.make_center_dist(0), stats);
+  TSO_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
+  if (options.make_center_dist == nullptr) {
+    return Status::InvalidArgument("make_center_dist is required");
   }
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+  if (options.num_threads <= 1) {
+    return Generate(tree, epsilon, options.make_center_dist(0), stats);
   }
   const double separation = 2.0 / epsilon + 2.0;
   const uint32_t num_threads = options.num_threads;

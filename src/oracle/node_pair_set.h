@@ -13,10 +13,11 @@
 
 namespace tso {
 
-/// One entry of SE's second component: an ordered well-separated node pair
-/// with the geodesic distance between its centers. The layout is frozen: it
-/// is stored verbatim as the pair section of the flat oracle format (see
-/// oracle/flat_format.h).
+/// One entry of SE's second component: a well-separated node pair with the
+/// geodesic distance between its centers. The metric is symmetric, so a set
+/// stores each unordered pair once, in its canonical orientation a <= b
+/// (see PairSource::Lookup). The layout is frozen: it is stored verbatim as
+/// the pair section of the flat oracle format (see oracle/flat_format.h).
 struct NodePair {
   uint32_t a;
   uint32_t b;
@@ -81,6 +82,11 @@ class NodePairSetView {
   uint64_t num_pairs_ = 0;
 };
 
+/// SE's approximation parameter must be finite and positive. NaN, ±inf, 0
+/// and negative values are InvalidArgument; every builder checks this
+/// before it runs a single SSAD.
+Status ValidateEpsilon(double epsilon);
+
 struct NodePairSetStats {
   size_t pairs_considered = 0;
   size_t pairs_final = 0;
@@ -105,8 +111,9 @@ struct NodePairParallelOptions {
 /// pairs are split at the larger-radius node until every pair satisfies
 /// d(c_O, c_O') >= (2/ε + 2) · max(2 r_O, 2 r_O'). The result has the unique
 /// node pair match property (Theorem 1) and O(n h / ε^{2β}) pairs
-/// (Theorem 2); the pairs are stored in the slot order of a pilot-table
-/// perfect hash for O(1) probes.
+/// (Theorem 2). Each unordered pair is stored once, as (a, b) with a <= b;
+/// the records sit in the slot order of a pilot-table perfect hash for O(1)
+/// probes.
 class NodePairSet {
  public:
   /// `center_dist(ca, cb)` must return the geodesic distance between POIs

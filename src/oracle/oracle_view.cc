@@ -125,7 +125,7 @@ Status ValidateTree(const FlatMeta& meta,
   return Status::Ok();
 }
 
-/// The precomputed ancestor table (v1.1 and v2) is read unguarded on
+/// The precomputed ancestor table (v1.1, v2 and v3) is read unguarded on
 /// the hot path — its rows feed tree.node() in the candidate passes — so
 /// every row must equal the leaf-to-root walk it caches, and the padding
 /// must be kInvalidId (i.e. never a dereferenceable id). O(n·h), the same
@@ -149,6 +149,39 @@ Status ValidateAncestorRows(const CompressedTreeView& tree,
     }
   }
   return Status::Ok();
+}
+
+/// The pair set of a pre-v3 file, which stored both orientations of every
+/// pair: keeps the a <= b record of each unordered pair, or the flipped
+/// reverse record where only that one is stored, and indexes them. The kept
+/// records are the ones a v3 build emits, bit for bit, so a converted file
+/// equals a fresh build. `records` may hold empty slots (v2); the others
+/// must number `num_pairs`.
+StatusOr<NodePairSet> CanonicalPairSet(std::span<const NodePair> records,
+                                       uint64_t num_pairs) {
+  std::vector<uint64_t> forward;
+  uint64_t stored = 0;
+  for (const NodePair& r : records) {
+    if (IsEmptyPairSlot(r)) continue;
+    ++stored;
+    if (r.a <= r.b) forward.push_back(PairKey(r.a, r.b));
+  }
+  if (stored != num_pairs) {
+    return Status::InvalidArgument("stored pair count disagrees with meta");
+  }
+  std::sort(forward.begin(), forward.end());
+  std::vector<NodePair> kept;
+  kept.reserve(forward.size());
+  for (const NodePair& r : records) {
+    if (IsEmptyPairSlot(r)) continue;
+    if (r.a <= r.b) {
+      kept.push_back(r);
+    } else if (!std::binary_search(forward.begin(), forward.end(),
+                                   PairKey(r.b, r.a))) {
+      kept.push_back({r.b, r.a, r.distance});
+    }
+  }
+  return NodePairSet::FromPairs(kept);
 }
 
 }  // namespace
@@ -204,11 +237,14 @@ StatusOr<FlatFileInfo> ReadFlatFileInfo(std::string_view buffer) {
         "flat oracle: endianness mismatch (file written on a foreign "
         "architecture)");
   }
-  // v1 (minors 0 and 1) is read for conversion; v2 up to this build's minor.
-  const uint32_t max_minor = h.version == 1 ? 1 : kFlatFormatMinorVersion;
-  if (h.version != 1 && h.version != kFlatFormatVersion) {
+  // v1 (minors 0 and 1) and v2 (minor 0) are read for conversion; v3 up
+  // to this build's minor.
+  if (h.version < 1 || h.version > kFlatFormatVersion) {
     return Status::InvalidArgument("flat oracle: unsupported format version");
   }
+  const uint32_t max_minor = h.version == 1   ? 1
+                             : h.version == 2 ? 0
+                                              : kFlatFormatMinorVersion;
   if (h.minor_version > max_minor) {
     return Status::InvalidArgument(
         "flat oracle: unsupported minor version (file written by a newer "
@@ -312,25 +348,24 @@ StatusOr<OracleView> OracleView::FromBuffer(std::string_view buffer,
         "flat oracle: ancestor stride set in a minor-0 file");
   }
 
-  if (version == 1) {
-    // A v1 file keeps its pairs sorted by (a, b) beside FKS tables, which
-    // are not read: re-index the pairs with the pilot hash and serve the
-    // re-serialized v2 bytes, O(pairs) once per open.
-    std::span<const NodePair> pairs;
-    TSO_RETURN_IF_ERROR(ViewSection(reader, *info, kFlatPairs, &pairs));
-    if (pairs.size() != meta.num_pairs) {
-      return Status::InvalidArgument(
-          "flat oracle: section counts inconsistent with meta");
-    }
-    StatusOr<NodePairSet> set = NodePairSet::FromPairs(pairs);
+  if (version < kFlatFormatVersion) {
+    // v1 (pairs sorted by (a, b) beside FKS tables, which are not read) and
+    // v2 (pairs in pilot-hash order) store both orientations of every pair.
+    // One path converts both: keep the canonical records, re-index them and
+    // serve the re-serialized v3 bytes, once per open.
+    std::span<const NodePair> records;
+    TSO_RETURN_IF_ERROR(ViewSection(reader, *info, kFlatPairs, &records));
+    StatusOr<NodePairSet> set = CanonicalPairSet(records, meta.num_pairs);
     if (!set.ok()) {
-      return Status::InvalidArgument("flat oracle v1: node-pairs: " +
-                                     set.status().message());
+      return Status::InvalidArgument("flat oracle v" +
+                                     std::to_string(version) +
+                                     ": node-pairs: " + set.status().message());
     }
     StatusOr<OracleView> converted = FromBytes(SerializeSeOracleFlat(
         meta.epsilon, view.pois_, view.tree_, set->view()));
     if (!converted.ok()) return converted.status();
-    converted->converted_from_v1_ = true;
+    converted->converted_from_ = version;
+    converted->stored_num_pairs_ = meta.num_pairs;
     return converted;
   }
 
@@ -349,6 +384,7 @@ StatusOr<OracleView> OracleView::FromBuffer(std::string_view buffer,
   view.pairs_ = NodePairSetView(
       records, PerfectHashView(meta.hash_seed, records.size(), pilots),
       meta.num_pairs);
+  view.stored_num_pairs_ = meta.num_pairs;
   return view;
 }
 
@@ -357,8 +393,8 @@ StatusOr<OracleView> OracleView::FromBytes(std::string bytes,
   auto owned = std::make_shared<const std::string>(std::move(bytes));
   StatusOr<OracleView> view = FromBuffer(*owned, options);
   if (!view.ok()) return view.status();
-  // A converted v1 view already owns its v2 bytes.
-  if (!view->converted_from_v1_) view->owner_ = std::move(owned);
+  // A converted view already owns its v3 bytes.
+  if (view->converted_from() == 0) view->owner_ = std::move(owned);
   return view;
 }
 
@@ -373,7 +409,7 @@ StatusOr<OracleView> OracleView::Open(const std::string& path,
     // failed reload loop built on it) is diagnosable from the message alone.
     return Status::Annotate(view.status(), path);
   }
-  if (!view->converted_from_v1_) view->owner_ = std::move(shared);
+  if (view->converted_from() == 0) view->owner_ = std::move(shared);
   return view;
 }
 

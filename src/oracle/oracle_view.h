@@ -44,9 +44,9 @@ class OracleView {
   };
 
   /// Opens a flat oracle over caller-owned bytes (`buffer` must outlive the
-  /// view and every result obtained through it). A v1 file is converted to
-  /// v2 at open (O(pairs)); the view then owns the converted bytes and does
-  /// not reference `buffer` (see converted_from_v1()).
+  /// view and every result obtained through it). A v1 or v2 file is
+  /// converted to v3 at open (O(pairs log pairs)); the view then owns the
+  /// converted bytes and does not reference `buffer` (see converted_from()).
   static StatusOr<OracleView> FromBuffer(std::string_view buffer,
                                          const Options& options);
   static StatusOr<OracleView> FromBuffer(std::string_view buffer) {
@@ -108,13 +108,16 @@ class OracleView {
   /// heap-resident.
   size_t SizeBytes() const { return buffer_.size(); }
 
-  /// The raw flat-format bytes backing this view (v2 bytes, also for a
-  /// converted v1 file).
+  /// The raw flat-format bytes backing this view (v3 bytes, also for a
+  /// converted v1 or v2 file).
   std::string_view buffer() const { return buffer_; }
 
-  /// True if the bytes opened were a v1 file, now served from a converted
-  /// in-memory copy rather than in place.
-  bool converted_from_v1() const { return converted_from_v1_; }
+  /// The format version of the bytes opened (1 or 2) when they were
+  /// converted to an in-memory v3 copy at open; 0 when served in place.
+  uint32_t converted_from() const { return converted_from_; }
+  /// The pair count the opened file records: pair_set().size(), except for
+  /// a converted file, which stored both orientations of its pairs.
+  uint64_t stored_num_pairs() const { return stored_num_pairs_; }
 
  private:
   OracleView() = default;
@@ -134,7 +137,8 @@ class OracleView {
   std::span<const SurfacePoint> pois_;
   CompressedTreeView tree_;
   NodePairSetView pairs_;
-  bool converted_from_v1_ = false;
+  uint32_t converted_from_ = 0;
+  uint64_t stored_num_pairs_ = 0;
 };
 
 /// Parsed section table of a flat oracle, exposed for `tso inspect` and the

@@ -25,13 +25,17 @@ namespace tso {
 /// and `tso inspect` walks a pack by recursing into each shard.
 ///
 /// Sharding model (see PairSource in oracle/distance_query.h): every shard
-/// replicates the small sections (meta, POIs, tree, leaf map) and carries a
-/// disjoint subset of the node-pair records — pair (a, b) lives in the
-/// shard of node `a`, where shard_of_node[n] = shard_of_poi[center(n)].
-/// Because the §3.3 recursion emits each unordered pair in both
-/// orientations, routing a probe (a, b) to shard_of_node[a] finds exactly
-/// the record a monolithic oracle would return: answers are bit-identical
-/// by construction, for every shard count and policy.
+/// replicates the small sections (meta, POIs, tree, leaf map) and carries
+/// the node-pair records of its nodes — the canonical record (a, b), a <= b,
+/// lives in the shards of both `a` and `b` (once when they coincide), where
+/// shard_of_node[n] = shard_of_poi[center(n)]. A probe for (a, b) goes to
+/// shard_of_node[a], or to shard_of_node[b] when that shard is dead, and
+/// either finds exactly the record a monolithic oracle would return:
+/// answers are bit-identical by construction, for every shard count and
+/// policy, and a degraded pack answers every query whose pair has a live
+/// endpoint shard with the healthy pack's bits. Packs written before
+/// TSOFLAT 3.0 hold each orientation (a, b) in shard(a) only; their shards
+/// convert at open (OracleView::FromBuffer) and route the same way.
 ///
 /// Versioning follows the flat format's policy: any change to this layout
 /// bumps kPackFormatVersion.
@@ -72,7 +76,7 @@ struct PackMeta {
   double epsilon;
   uint64_t num_pois;
   uint64_t num_tree_nodes;
-  uint64_t num_pairs_total;  // sum of the shards' pair counts
+  uint64_t num_pairs_total;  // sum of the shards' stored pair counts
   uint32_t num_shards;
   uint32_t policy;  // PackPolicy
   uint64_t reserved0;

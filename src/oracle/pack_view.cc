@@ -105,22 +105,27 @@ StatusOr<std::string> SerializeOraclePack(const OracleView& oracle,
     shard_of_node[nd] = shard_of_poi[tree.node(nd).center];
   }
 
-  // Partition the pairs by the first node's shard. Each shard's pilot hash
-  // depends only on its pair set, so the shard bytes are deterministic.
+  // Place each record in the shards of both endpoints (once when they
+  // share one), so a probe can be answered by either (PairSource::Lookup).
+  // Each shard's pilot hash depends only on its pair set, so the shard
+  // bytes are deterministic.
   std::vector<std::vector<NodePair>> shard_pairs(num_shards);
   uint64_t num_pairs = 0;
   for (const NodePair& pair : oracle.pair_set().pairs()) {
     if (pair.a >= tree.num_nodes() || pair.b >= tree.num_nodes()) {
       return Status::InvalidArgument("flat oracle: pair node id range");
     }
-    shard_pairs[shard_of_node[pair.a]].push_back(pair);
-    ++num_pairs;
+    const uint32_t sa = shard_of_node[pair.a];
+    const uint32_t sb = shard_of_node[pair.b];
+    shard_pairs[sa].push_back(pair);
+    if (sb != sa) shard_pairs[sb].push_back(pair);
   }
 
   std::vector<std::string> shard_blobs;
   shard_blobs.reserve(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
     TSO_FAILPOINT("pack.write.section");
+    num_pairs += shard_pairs[s].size();
     StatusOr<NodePairSet> set = NodePairSet::FromPairs(shard_pairs[s]);
     if (!set.ok()) return set.status();
     shard_blobs.push_back(SerializeSeOracleFlat(
@@ -324,8 +329,8 @@ StatusOr<PackView> PackView::FromBuffer(std::string_view buffer,
   // validation per shard), then cross-check it against the pack meta so a
   // pack spliced from mismatched oracles is rejected. Under allow_degraded
   // a failing shard is quarantined (dead slot + empty pair view — its
-  // probes then surface kUnavailable through PairSource::Available) and the
-  // intact shards keep serving.
+  // probes go to the pair's other endpoint shard, or surface kUnavailable
+  // through PairSource::Lookup) and the intact shards keep serving.
   OracleView::Options shard_options;
   shard_options.verify_checksums = options.verify_checksums;
   view.shards_.reserve(num_shards);
@@ -348,7 +353,7 @@ StatusOr<PackView> PackView::FromBuffer(std::string_view buffer,
             "oracle pack: shard " + std::to_string(s) +
             " disagrees with the pack meta (mismatched oracles?)");
       } else {
-        pairs_total += shard->pair_set().size();
+        pairs_total += shard->stored_num_pairs();
         view.pair_shards_.push_back(shard->pair_set());
         view.shards_.push_back(std::move(*shard));
         continue;
@@ -367,7 +372,7 @@ StatusOr<PackView> PackView::FromBuffer(std::string_view buffer,
   }
   if (view.num_available_ == num_shards) {
     // Healthy pack: the pair-count cross-check applies, and the empty
-    // bitmap keeps PairSource::Available on its zero-cost fast path.
+    // bitmap keeps PairSource::Lookup on its zero-cost fast path.
     if (pairs_total != info->meta.num_pairs_total) {
       return Status::InvalidArgument(
           "oracle pack: shard pair counts disagree with the pack meta");

@@ -28,8 +28,9 @@ struct PackBuildOptions {
 };
 
 /// Serializes `oracle` (a built SeOracle or an opened flat file) into an
-/// oracle pack (pack_format.h): the node-pair set is partitioned into
-/// `num_shards` standalone TSOFLAT shards behind one section table.
+/// oracle pack (pack_format.h): the node-pair set is split into `num_shards`
+/// standalone TSOFLAT shards behind one section table, each record going to
+/// the shards of both its endpoints.
 /// Deterministic: the same oracle and options always produce byte-identical
 /// output. A pair naming a node outside the tree is InvalidArgument (an
 /// opened view does not scan pair ids).
@@ -70,9 +71,10 @@ class PackView {
     bool verify_checksums = false;
     /// Degraded open: a shard that fails validation (or its pack-level
     /// checksum, when verify_checksums is set) is marked unavailable
-    /// instead of failing the whole open — the intact shards keep serving
-    /// and queries whose probes need a dead shard return kUnavailable (see
-    /// PairSource::Available and docs/robustness.md). The open still fails
+    /// instead of failing the whole open — the intact shards keep serving,
+    /// with the healthy pack's bits, and only queries whose probes need a
+    /// pair both of whose endpoint shards are dead return kUnavailable (see
+    /// PairSource::Lookup and docs/robustness.md). The open still fails
     /// if the pack frame, the routing tables, or every shard is bad.
     bool allow_degraded = false;
   };
@@ -93,7 +95,8 @@ class PackView {
   }
 
   /// ε-approximate distance between POIs s and t: the same O(h) query as
-  /// OracleView::Distance, with each pair probe routed to its owning shard.
+  /// OracleView::Distance, with each pair probe routed to a live shard that
+  /// holds the pair.
   StatusOr<double> Distance(uint32_t s, uint32_t t) const {
     static thread_local QueryScratch scratch;
     return Distance(s, t, scratch);
@@ -137,7 +140,8 @@ class PackView {
   /// MakeSource). Borrows from this view: the PackView must stay alive and
   /// in place while the source (or a DistanceSource made from it) is used.
   /// After a degraded open the source carries the availability bitmap, so
-  /// probes routed to a dead shard surface kUnavailable instead of a miss.
+  /// a probe whose pair lives only in dead shards surfaces kUnavailable
+  /// instead of a miss.
   PairSource pair_source() const {
     return PairSource::Sharded(pair_shards_, shard_of_node_, shard_ok_);
   }

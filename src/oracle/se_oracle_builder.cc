@@ -313,9 +313,7 @@ StatusOr<SeOracle> SeOracleBuilder::Build(std::vector<SurfacePoint> pois) {
   const SeOracleOptions& options = options_;
   const TerrainMesh& mesh = mesh_;
   GeodesicSolver& solver = solver_;
-  if (options.epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  TSO_RETURN_IF_ERROR(ValidateEpsilon(options.epsilon));
   if (pois.empty()) return Status::InvalidArgument("no POIs");
   WallTimer total_timer;
   SeBuildStats& st = stats_;

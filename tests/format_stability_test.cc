@@ -6,19 +6,25 @@
 // comparisons are exact on every platform. The CI `format-stability` job
 // runs this suite as a blocking gate.
 //
-// Three flat goldens hold the same oracle:
+// Four flat goldens hold the same oracle:
 //   oracle-v1.tsoflat    v1.0 (10 sections, FKS hash, no ancestor table) —
 //     generated once with `tso build-oracle --dataset sf-small
 //     --vertices 150 --pois 12 --solver dijkstra --epsilon 0.25 --seed 7`
 //   oracle-v1.1.tsoflat  v1.1 (11 sections, + ancestors) — the same oracle
 //     re-serialized by the v1.1 writer.
 //   oracle-v2.tsoflat    v2.0 (7 sections, pilot hash, pairs in hash
-//     order) — the same oracle re-serialized by the current writer (open
-//     either v1 golden, write view.buffer(); no FP).
-// The v1 goldens are the backward-compatibility gate: current readers must
-// keep opening and answering from them, by converting to v2 at open. The
-// v2 golden is the byte-identity gate for what the writer emits today.
+//     order, both orientations of every pair) — the same oracle
+//     re-serialized by the v2 writer.
+//   oracle-v3.tsoflat    v3.0 (the v2 sections, one canonical record a <= b
+//     per unordered pair) — the v2 golden opened by the current reader,
+//     which converts it, and written out as view.buffer(); no FP.
+// The v1 and v2 goldens are the backward-compatibility gate: current
+// readers must keep opening and answering from them, by converting to v3
+// at open. The v3 golden is the byte-identity gate for what the writer
+// emits today.
 
+#include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -28,10 +34,13 @@
 #include <gtest/gtest.h>
 
 #include "base/crc32.h"
+#include "geodesic/mmp_solver.h"
 #include "oracle/flat_format.h"
 #include "oracle/oracle_serde.h"
 #include "oracle/oracle_view.h"
 #include "oracle/pack_view.h"
+#include "oracle/se_oracle.h"
+#include "terrain/dataset.h"
 
 #ifndef TSO_GOLDEN_DIR
 #define TSO_GOLDEN_DIR "tests/golden"
@@ -68,13 +77,20 @@ std::string GoldenFlatMinor1() {
 std::string GoldenFlatV2() {
   return ReadFile(std::string(TSO_GOLDEN_DIR) + "/oracle-v2.tsoflat");
 }
+std::string GoldenFlatV3() {
+  return ReadFile(std::string(TSO_GOLDEN_DIR) + "/oracle-v3.tsoflat");
+}
 
+/// 144 ordered records before v3 (12 self pairs, both orientations of 66
+/// others); 78 canonical records after.
 void ExpectGoldenShape(const OracleView& view) {
   EXPECT_EQ(view.num_pois(), 12u);
   EXPECT_DOUBLE_EQ(view.epsilon(), 0.25);
   EXPECT_EQ(view.height(), 3);
-  EXPECT_EQ(view.pair_set().size(), 144u);
+  EXPECT_EQ(view.pair_set().size(), 78u);
+  EXPECT_EQ(view.stored_num_pairs(), view.converted_from() != 0 ? 144u : 78u);
   EXPECT_TRUE(view.tree().CheckInvariants().ok());
+  for (const NodePair& p : view.pair_set().pairs()) EXPECT_LE(p.a, p.b);
 }
 
 TEST(FormatStability, GoldenMinor0StillOpensAndValidates) {
@@ -91,7 +107,7 @@ TEST(FormatStability, GoldenMinor0StillOpensAndValidates) {
   ASSERT_EQ(info->sections.size(), kFlatSectionCount);
   StatusOr<OracleView> view = OracleView::FromBuffer(blob);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
-  EXPECT_TRUE(view->converted_from_v1());
+  EXPECT_EQ(view->converted_from(), 1u);
   EXPECT_TRUE(view->tree().has_ancestor_table());
   ExpectGoldenShape(*view);
 }
@@ -107,13 +123,30 @@ TEST(FormatStability, GoldenMinor1OpensAndValidates) {
   ASSERT_EQ(info->sections.size(), kFlatSectionCountMinor1);
   StatusOr<OracleView> view = OracleView::FromBuffer(blob);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
-  EXPECT_TRUE(view->converted_from_v1());
+  EXPECT_EQ(view->converted_from(), 1u);
   EXPECT_TRUE(view->tree().has_ancestor_table());
   ExpectGoldenShape(*view);
 }
 
-TEST(FormatStability, GoldenV2OpensZeroCopyAndAnswersLikeV1) {
+TEST(FormatStability, GoldenV2ConvertsAtOpen) {
+  // A v2 file stores both orientations of every pair; it converts to v3 at
+  // open by keeping the a <= b records, with no FP work.
   const std::string blob = GoldenFlatV2();
+  ASSERT_FALSE(blob.empty());
+  StatusOr<FlatFileInfo> info = ReadFlatFileInfo(blob);
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->header.version, 2u);
+  EXPECT_EQ(info->header.minor_version, 0u);
+  ASSERT_EQ(info->sections.size(), kFlatSectionCountV2);
+  StatusOr<OracleView> view = OracleView::FromBuffer(blob);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_EQ(view->converted_from(), 2u);
+  ExpectGoldenShape(*view);
+  EXPECT_EQ(view->buffer(), GoldenFlatV3());
+}
+
+TEST(FormatStability, GoldenV3OpensZeroCopyAndAnswersLikeV1) {
+  const std::string blob = GoldenFlatV3();
   ASSERT_FALSE(blob.empty());
   StatusOr<FlatFileInfo> info = ReadFlatFileInfo(blob);
   ASSERT_TRUE(info.ok());
@@ -122,7 +155,7 @@ TEST(FormatStability, GoldenV2OpensZeroCopyAndAnswersLikeV1) {
   ASSERT_EQ(info->sections.size(), kFlatSectionCountV2);
   StatusOr<OracleView> view = OracleView::FromBuffer(blob);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
-  EXPECT_FALSE(view->converted_from_v1());
+  EXPECT_EQ(view->converted_from(), 0u);
   EXPECT_EQ(view->buffer().data(), blob.data());  // served in place
   ExpectGoldenShape(*view);
   StatusOr<OracleView> v1 = OracleView::FromBuffer(GoldenFlatMinor1());
@@ -131,25 +164,28 @@ TEST(FormatStability, GoldenV2OpensZeroCopyAndAnswersLikeV1) {
   for (uint32_t s = 0; s < n; ++s) {
     for (uint32_t t = 0; t < n; ++t) {
       EXPECT_EQ(*view->Distance(s, t), *v1->Distance(s, t)) << s << "," << t;
+      EXPECT_EQ(*view->Distance(s, t), *view->Distance(t, s))
+          << s << "," << t;
     }
   }
   EXPECT_NEAR(*view->Distance(0, 1), 782.040311, 1e-6);
   EXPECT_NEAR(*view->Distance(11, 4), 1089.404627, 1e-6);
 }
 
-TEST(FormatStability, CurrentWriterMatchesV2GoldenByteForByte) {
+TEST(FormatStability, CurrentWriterMatchesV3GoldenByteForByte) {
   // Opening ANY golden and re-serializing its components must reproduce
-  // the v2 golden exactly: the writer always emits the current version,
+  // the v3 golden exactly: the writer always emits the current version,
   // rebuilds the pilot hash from the pair set, and recomputes the ancestor
   // table from the tree.
-  const std::string v2 = GoldenFlatV2();
-  ASSERT_FALSE(v2.empty());
-  for (const std::string& blob : {GoldenFlatMinor0(), GoldenFlatMinor1(), v2}) {
+  const std::string v3 = GoldenFlatV3();
+  ASSERT_FALSE(v3.empty());
+  for (const std::string& blob :
+       {GoldenFlatMinor0(), GoldenFlatMinor1(), GoldenFlatV2(), v3}) {
     const std::string reserialized = Reserialize(blob);
-    ASSERT_EQ(reserialized.size(), v2.size())
+    ASSERT_EQ(reserialized.size(), v3.size())
         << "flat format layout drifted — bump kFlatFormatMinorVersion (or "
            "the major version) and regenerate tests/golden/";
-    EXPECT_EQ(reserialized, v2)
+    EXPECT_EQ(reserialized, v3)
         << "flat format bytes drifted — bump kFlatFormatMinorVersion (or "
            "the major version) and regenerate tests/golden/";
   }
@@ -182,10 +218,12 @@ TEST(FormatStability, GoldenFormatsAgreeOnEveryQuery) {
 TEST(FormatStability, GoldenSpotChecksMatchRecordedValues) {
   // Values recorded at golden-generation time (printed by `tso query`).
   // They are stored doubles read back verbatim; the 1e-6 tolerance only
-  // absorbs the print rounding of the recorded literals. Checked on both
-  // flat minors so the ancestor-table path answers the same recorded
-  // numbers as the walk path.
-  for (const std::string& blob : {GoldenFlatMinor0(), GoldenFlatMinor1()}) {
+  // absorbs the print rounding of the recorded literals (and the last-ulp
+  // difference between a pair's two pre-v3 orientations). Checked on every
+  // golden, so the ancestor-table path answers the same recorded numbers
+  // as the walk path.
+  for (const std::string& blob : {GoldenFlatMinor0(), GoldenFlatMinor1(),
+                                  GoldenFlatV2(), GoldenFlatV3()}) {
     StatusOr<OracleView> view = OracleView::FromBuffer(blob);
     ASSERT_TRUE(view.ok());
     EXPECT_NEAR(*view->Distance(0, 1), 782.040311, 1e-6);
@@ -197,8 +235,10 @@ TEST(FormatStability, GoldenSpotChecksMatchRecordedValues) {
   }
 }
 
-/// A one-shard TSOPACK around `flat` (a v1 file, which the current pack
-/// writer cannot emit): every POI and node routes to shard 0.
+/// A one-shard TSOPACK around `flat` (a v1 or v2 file, which the current
+/// pack writer cannot emit): every POI and node routes to shard 0, and the
+/// pair total is the shard file's own count, as the writers of those
+/// versions recorded it.
 std::string WrapAsOneShardPack(const std::string& flat) {
   StatusOr<OracleView> view = OracleView::FromBuffer(flat);
   EXPECT_TRUE(view.ok());
@@ -207,7 +247,7 @@ std::string WrapAsOneShardPack(const std::string& flat) {
   meta.epsilon = view->epsilon();
   meta.num_pois = view->num_pois();
   meta.num_tree_nodes = view->tree().num_nodes();
-  meta.num_pairs_total = view->pair_set().size();
+  meta.num_pairs_total = view->stored_num_pairs();
   meta.num_shards = 1;
   meta.policy = static_cast<uint32_t>(PackPolicy::kPoiRange);
   const std::vector<uint32_t> shard_of_poi(meta.num_pois, 0);
@@ -249,24 +289,27 @@ std::string WrapAsOneShardPack(const std::string& flat) {
   return out;
 }
 
-TEST(FormatStability, V1PackShardsConvertAtOpen) {
-  // Pack shards open through OracleView::FromBuffer, so a pack of v1
-  // shards converts shard by shard and answers like the v2 golden.
-  const std::string pack_bytes = WrapAsOneShardPack(GoldenFlatMinor1());
-  ASSERT_FALSE(pack_bytes.empty());
-  StatusOr<PackView> pack =
-      PackView::FromBuffer(pack_bytes, {.verify_checksums = true});
-  ASSERT_TRUE(pack.ok()) << pack.status().ToString();
-  EXPECT_TRUE(pack->shard(0).converted_from_v1());
-  const std::string v2 = GoldenFlatV2();
-  StatusOr<OracleView> view = OracleView::FromBuffer(v2);
+TEST(FormatStability, OldPackShardsConvertAtOpen) {
+  // Pack shards open through OracleView::FromBuffer, so a pack of v1 or v2
+  // shards converts shard by shard and answers like the v3 golden.
+  const std::string v3 = GoldenFlatV3();
+  StatusOr<OracleView> view = OracleView::FromBuffer(v3);
   ASSERT_TRUE(view.ok());
-  EXPECT_EQ(pack->shard(0).buffer(), v2);
   const uint32_t n = static_cast<uint32_t>(view->num_pois());
-  for (uint32_t s = 0; s < n; ++s) {
-    for (uint32_t t = 0; t < n; ++t) {
-      EXPECT_EQ(*pack->Distance(s, t), *view->Distance(s, t))
-          << s << "," << t;
+  for (const auto& [blob, version] :
+       {std::pair(GoldenFlatMinor1(), 1u), std::pair(GoldenFlatV2(), 2u)}) {
+    const std::string pack_bytes = WrapAsOneShardPack(blob);
+    ASSERT_FALSE(pack_bytes.empty());
+    StatusOr<PackView> pack =
+        PackView::FromBuffer(pack_bytes, {.verify_checksums = true});
+    ASSERT_TRUE(pack.ok()) << pack.status().ToString();
+    EXPECT_EQ(pack->shard(0).converted_from(), version);
+    EXPECT_EQ(pack->shard(0).buffer(), v3);
+    for (uint32_t s = 0; s < n; ++s) {
+      for (uint32_t t = 0; t < n; ++t) {
+        EXPECT_EQ(*pack->Distance(s, t), *view->Distance(s, t))
+            << s << "," << t;
+      }
     }
   }
 }
@@ -297,10 +340,66 @@ TEST(FormatStability, CorruptV1PairsFailConversionCleanly) {
   }
 }
 
+/// The v2 file a pre-v3 build of `oracle` wrote: every canonical record
+/// plus its reverse orientation, whose distance came from the opposite SSAD
+/// source and may differ in the last bits (modelled here by one ulp), in
+/// the same sections under version 2.
+std::string AsV2File(const OracleView& oracle) {
+  std::vector<NodePair> both;
+  for (const NodePair& p : oracle.pair_set().pairs()) {
+    both.push_back(p);
+    if (p.a != p.b) {
+      both.push_back({p.b, p.a, std::nextafter(p.distance, 1e300)});
+    }
+  }
+  StatusOr<NodePairSet> set = NodePairSet::FromPairs(both);
+  EXPECT_TRUE(set.ok());
+  if (!set.ok()) return "";
+  std::string bytes = SerializeSeOracleFlat(oracle.epsilon(), oracle.pois(),
+                                            oracle.tree(), set->view());
+  const uint32_t version = 2;  // the header is not covered by a checksum
+  std::memcpy(bytes.data() + offsetof(FlatHeader, version), &version,
+              sizeof(version));
+  return bytes;
+}
+
+TEST(FormatStability, V2BuildConvertsToTheFreshV3Build) {
+  // An MMP build at ε = 0.1, as the wire_p2p benchmark serves (smaller):
+  // its v2 form, converted at open, is byte for byte the v3 build, and the
+  // reverse records' last-ulp differences are gone from every answer.
+  StatusOr<Dataset> ds =
+      MakePaperDataset(PaperDataset::kSanFranciscoSmall, 300, 40, 21);
+  ASSERT_TRUE(ds.ok());
+  MmpSolver solver(*ds->mesh);
+  SeOracleOptions options;
+  options.epsilon = 0.1;
+  StatusOr<SeOracle> fresh =
+      SeOracle::Build(*ds->mesh, ds->pois, solver, options, nullptr);
+  ASSERT_TRUE(fresh.ok());
+  const std::string v2 = AsV2File(*fresh);
+  ASSERT_FALSE(v2.empty());
+  StatusOr<OracleView> converted =
+      OracleView::FromBytes(v2, {.verify_checksums = true});
+  ASSERT_TRUE(converted.ok()) << converted.status().ToString();
+  EXPECT_EQ(converted->converted_from(), 2u);
+  size_t self_pairs = 0;
+  for (const NodePair& p : fresh->pair_set().pairs()) self_pairs += p.a == p.b;
+  EXPECT_EQ(converted->stored_num_pairs(),
+            2 * fresh->pair_set().size() - self_pairs);
+  EXPECT_EQ(converted->buffer(), fresh->buffer());
+  const uint32_t n = static_cast<uint32_t>(fresh->num_pois());
+  for (uint32_t s = 0; s < n; ++s) {
+    for (uint32_t t = 0; t < n; ++t) {
+      EXPECT_EQ(*converted->Distance(s, t), *fresh->Distance(t, s))
+          << s << "," << t;
+    }
+  }
+}
+
 TEST(FormatStability, FreshBuildSaveLoadSaveIsByteStable) {
   // Independent of which golden seeded it: any oracle serialized, opened,
   // and re-serialized must be byte-stable.
-  const std::string flat = GoldenFlatV2();
+  const std::string flat = GoldenFlatV3();
   const std::string once = Reserialize(flat);
   ASSERT_FALSE(once.empty());
   EXPECT_EQ(Reserialize(once), flat);

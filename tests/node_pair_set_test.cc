@@ -54,8 +54,10 @@ TEST(NodePairSet, AllPairsWellSeparated) {
   }
 }
 
-// Theorem 1: for every ordered POI pair (p, q) exactly one node pair in the
-// set contains (p, q). Exhaustive check on a small instance.
+// Theorem 1: for every POI pair (p, q) exactly one node pair in the set
+// contains (p, q). The set stores each unordered pair once (a <= b), so a
+// stored <A, B> contains (p, q) in either orientation. Exhaustive check on
+// a small instance.
 TEST(NodePairSet, UniqueNodePairMatchProperty) {
   for (uint64_t seed : {41u, 43u}) {
     Fixture fx(12, seed);
@@ -79,7 +81,10 @@ TEST(NodePairSet, UniqueNodePairMatchProperty) {
         const std::vector<bool> aq = ancestors(q);
         int matches = 0;
         for (const NodePair& pair : set->pairs()) {
-          if (ap[pair.a] && aq[pair.b]) ++matches;
+          EXPECT_LE(pair.a, pair.b);
+          if ((ap[pair.a] && aq[pair.b]) || (aq[pair.a] && ap[pair.b])) {
+            ++matches;
+          }
         }
         EXPECT_EQ(matches, 1) << "POI pair (" << p << "," << q << ")";
       }

@@ -99,8 +99,20 @@ TEST(PackFormat, EachShardIsAStandaloneFlatOracle) {
     EXPECT_EQ(shard->num_pois(), Fixture().oracle->num_pois());
     pairs_total += shard->pair_set().size();
   }
-  // The pair partition is exhaustive and disjoint.
-  EXPECT_EQ(pairs_total, Fixture().oracle->pair_set().size());
+  // Each record lives in the shards of both its endpoints, once when they
+  // coincide, and nowhere else.
+  StatusOr<PackView> pack = PackView::FromBuffer(blob);
+  ASSERT_TRUE(pack.ok());
+  size_t expected = 0;
+  for (const NodePair& p : Fixture().oracle->pair_set().pairs()) {
+    const uint32_t sa = pack->shard_of_node()[p.a];
+    const uint32_t sb = pack->shard_of_node()[p.b];
+    double d;
+    EXPECT_TRUE(pack->pair_shards()[sa].Lookup(p.a, p.b, &d));
+    EXPECT_TRUE(pack->pair_shards()[sb].Lookup(p.a, p.b, &d));
+    expected += sa == sb ? 1 : 2;
+  }
+  EXPECT_EQ(pairs_total, expected);
 }
 
 // The tentpole guarantee: for every shard count and both policies, every

@@ -152,10 +152,11 @@ TEST(ProbePath, DistanceBitIdenticalAcrossRepresentations) {
 
 TEST(ProbePath, AnswersMatchRecordedCrc) {
   // CRC-32 of the bits of all n² answers of the fixture oracle, in row-major
-  // (s, t) order, recorded from the batched probe pipeline this path
-  // replaced. Any change to candidate order, early exit or the stored
-  // records shows up here.
-  constexpr uint32_t kRecordedCrc = 306352861u;
+  // (s, t) order, recorded when the oracle started storing each unordered
+  // pair once (a <= b): (s, t) and (t, s) now read the same record. Any
+  // change to candidate order, early exit or the stored records shows up
+  // here.
+  constexpr uint32_t kRecordedCrc = 3271587171u;
   ProbeFixture& fx = Fixture();
   const uint32_t n = static_cast<uint32_t>(fx.oracle->num_pois());
   for (const DistanceSource& source :
@@ -205,9 +206,11 @@ std::vector<std::pair<uint32_t, uint32_t>> CandidateSequence(
 TEST(ProbePath, ProbesStopAtFirstHit) {
   ProbeFixture& fx = Fixture();
   const uint32_t n = static_cast<uint32_t>(fx.oracle->num_pois());
+  // A stored pair answers a probe in either orientation.
   std::set<std::pair<uint32_t, uint32_t>> stored;
   for (const NodePair& p : fx.view->pair_set().pairs()) {
     stored.emplace(p.a, p.b);
+    stored.emplace(p.b, p.a);
   }
   const CompressedTreeView& tree = fx.view->tree();
   for (const DistanceSource& source :

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -9,9 +11,14 @@
 
 #include "base/crc32.h"
 #include "baselines/full_materialization.h"
+#include "baselines/kalgo.h"
+#include "dyn/dynamic_oracle.h"
 #include "geodesic/dijkstra_solver.h"
 #include "geodesic/mmp_solver.h"
+#include "geodesic/ssad_kernel.h"
+#include "oracle/node_pair_set.h"
 #include "oracle/oracle_serde.h"
+#include "oracle/partition_tree.h"
 #include "terrain/dataset.h"
 #include "terrain/poi_generator.h"
 
@@ -134,15 +141,11 @@ TEST(SeOracle, SymmetricAnswers) {
   SeOracleOptions options;
   options.epsilon = 0.1;
   SeOracle oracle = fx.BuildOracle(options);
-  // The pair containing (s,t) differs from the one containing (t,s), but
-  // both must be ε-approximations; check consistency within 2ε.
+  // (s, t) and (t, s) match the same unordered pair, stored once.
   const size_t n = fx.ds->pois.size();
   for (uint32_t s = 0; s < n; ++s) {
     for (uint32_t t = s + 1; t < n; ++t) {
-      const double st = *oracle.Distance(s, t);
-      const double ts = *oracle.Distance(t, s);
-      const double truth = fx.exact->Distance(s, t);
-      EXPECT_LE(std::abs(st - ts), 2.0 * options.epsilon * truth + 1e-9);
+      EXPECT_EQ(*oracle.Distance(s, t), *oracle.Distance(t, s));
     }
   }
 }
@@ -176,6 +179,53 @@ TEST(SeOracle, InvalidOptionsRejected) {
   options.epsilon = 0.1;
   EXPECT_FALSE(
       SeOracle::Build(*fx.ds->mesh, empty, *fx.solver, options, nullptr).ok());
+}
+
+TEST(SeOracle, NonFiniteOrNonPositiveEpsilonRejectedBeforeAnySsad) {
+  // NaN passes an `epsilon <= 0` test, so every entry point checks
+  // finiteness too, and rejects before it runs a single SSAD.
+  OracleFixture fx(8, 43);
+  DijkstraSolver dijkstra(*fx.ds->mesh);
+  Rng rng(3);
+  StatusOr<PartitionTree> tree =
+      PartitionTree::Build(*fx.ds->mesh, fx.ds->pois, *fx.solver,
+                           SelectionStrategy::kRandom, rng, nullptr);
+  ASSERT_TRUE(tree.ok());
+  const CompressedTree compressed = CompressedTree::FromPartitionTree(*tree);
+  size_t center_dist_calls = 0;
+  const std::function<double(uint32_t, uint32_t)> center_dist =
+      [&](uint32_t, uint32_t) {
+        ++center_dist_calls;
+        return 1.0;
+      };
+  NodePairParallelOptions parallel;
+  parallel.num_threads = 2;
+  parallel.make_center_dist = [&](uint32_t) { return center_dist; };
+  for (double eps : {std::nan(""), std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity(), 0.0, -1.0}) {
+    const SsadCounterSnapshot before = SsadCounterSnapshot::Take();
+    SeOracleOptions options;
+    options.epsilon = eps;
+    const auto expect_invalid = [eps](const Status& status) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << eps;
+    };
+    expect_invalid(
+        SeOracle::Build(*fx.ds->mesh, fx.ds->pois, dijkstra, options, nullptr)
+            .status());
+    expect_invalid(
+        NodePairSet::Generate(compressed, eps, center_dist, nullptr).status());
+    expect_invalid(
+        NodePairSet::Generate(compressed, eps, parallel, nullptr).status());
+    DynamicOracleOptions dyn_options;
+    dyn_options.base = options;
+    expect_invalid(
+        DynamicSeOracle::Create(*fx.ds->mesh, fx.ds->pois, dijkstra,
+                                dyn_options)
+            .status());
+    expect_invalid(KAlgo::Create(*fx.ds->mesh, eps).status());
+    EXPECT_EQ(SsadCounterSnapshot::Take().Delta(before).runs, 0u) << eps;
+    EXPECT_EQ(center_dist_calls, 0u) << eps;
+  }
 }
 
 TEST(SeOracle, WorksWithDijkstraMetric) {
@@ -348,12 +398,15 @@ TEST(SeOracle, BatchedParallelBuildMatchesSerialUnbatched) {
 }
 
 /// CRC-32 of an oracle's format-independent content: the POIs, the tree
-/// nodes, and the node-pair records sorted by (a, b). It does not depend on
-/// how the file hashes or lays out the pairs, so it pins a build across
-/// format versions.
+/// nodes, and the canonical (a <= b) node-pair records sorted by (a, b). It
+/// does not depend on how the file hashes or lays out the pairs, nor on
+/// whether it also stores the reverse orientations, so it pins a build
+/// across format versions.
 uint32_t ContentCrc(const OracleView& view) {
-  auto stored = view.pair_set().pairs();
-  std::vector<NodePair> pairs(stored.begin(), stored.end());
+  std::vector<NodePair> pairs;
+  for (const NodePair& p : view.pair_set().pairs()) {
+    if (p.a <= p.b) pairs.push_back(p);
+  }
   std::sort(pairs.begin(), pairs.end(),
             [](const NodePair& x, const NodePair& y) {
               return x.a != y.a ? x.a < y.a : x.b < y.b;
@@ -372,9 +425,11 @@ TEST(SeOracle, MmpBuildMatchesRecordedBytes) {
   // the deepest layers' reaches are not, so sweeps are extended, and an
   // extension that lost labels would miss enhanced edges.
   //
-  // Two pins: the content CRC (format-independent; recorded from the
-  // TSOFLAT 1.1 build, so it proves the 2.0 format stores the same oracle)
-  // and the size and CRC of the TSOFLAT 2.0 bytes.
+  // Two pins: the content CRC over the canonical (a <= b) records
+  // (format-independent; recorded by running ContentCrc against the
+  // TSOFLAT 2.0 build, which stored both orientations, so it proves the
+  // 3.0 build keeps exactly the bits of those records) and the size and
+  // CRC of the TSOFLAT 3.0 bytes.
   OracleFixture fx(60, 37);
   const TerrainMesh& mesh = *fx.ds->mesh;
   struct Recorded {
@@ -384,8 +439,8 @@ TEST(SeOracle, MmpBuildMatchesRecordedBytes) {
     uint32_t crc32;
   };
   for (const Recorded& want :
-       {Recorded{0.1, 2882133747u, 70336, 2762528248u},
-        Recorded{0.25, 2847360771u, 68736, 3101234895u}}) {
+       {Recorded{0.1, 1631274966u, 40576, 2004741853u},
+        Recorded{0.25, 1344012372u, 39744, 1210628402u}}) {
     for (uint32_t threads : {1u, 4u}) {
       SeOracleOptions options;
       options.epsilon = want.epsilon;

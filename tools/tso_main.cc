@@ -591,8 +591,8 @@ int CmdPack(const Args& args) {
     return 1;
   }
   std::printf(
-      "packed %s -> %s: %u shards (%s policy), n=%zu POIs, %zu node pairs, "
-      "%.1f KiB in %.2fs\n",
+      "packed %s -> %s: %u shards (%s policy), n=%zu POIs, %zu shard "
+      "pair records, %.1f KiB in %.2fs\n",
       args.oracle_path.c_str(), out.c_str(), pack->num_shards(),
       args.policy.c_str(), pack->num_pois(),
       static_cast<size_t>(pack->meta().num_pairs_total),
@@ -794,13 +794,17 @@ int CmdQuery(const Args& args) {
     std::fprintf(stderr, "tso: open: %s\n", view.status().ToString().c_str());
     return 1;
   }
-  const bool converted = view->converted_from_v1();
-  std::printf("%s: n=%zu POIs eps=%.3g height=%d (%.1f KiB %s)\n",
-              converted ? "converted v1 oracle to TSOFLAT v2 in memory"
-                        : "mapped oracle (zero-copy)",
+  const uint32_t from = view->converted_from();
+  if (from != 0) {
+    std::printf("converted v%u oracle to TSOFLAT v%u in memory: ", from,
+                kFlatFormatVersion);
+  } else {
+    std::printf("mapped oracle (zero-copy): ");
+  }
+  std::printf("n=%zu POIs eps=%.3g height=%d (%.1f KiB %s)\n",
               view->num_pois(), view->epsilon(), view->height(),
               view->SizeBytes() / 1024.0,
-              converted ? "heap" : "shared read-only");
+              from != 0 ? "heap" : "shared read-only");
   return RunQueryPairs(args, *view);
 }
 
@@ -1638,7 +1642,7 @@ int InspectPack(const std::string& path, const std::string& bytes,
     return 1;
   }
   std::printf(
-      "  pack: n=%zu POIs eps=%.3g height=%d node_pairs=%llu "
+      "  pack: n=%zu POIs eps=%.3g height=%d shard_pair_records=%llu "
       "(all checksums ok)\n",
       pack->num_pois(), pack->epsilon(), pack->height(),
       static_cast<unsigned long long>(pack->meta().num_pairs_total));
@@ -1646,8 +1650,8 @@ int InspectPack(const std::string& path, const std::string& bytes,
 }
 
 /// The oracle's space report: bytes per stored pair of the pair index
-/// (the node-pair records plus the hash that places them: pilots in v2,
-/// the FKS tables in v1), and the file against a dense n × n matrix of
+/// (the node-pair records plus the hash that places them: pilots in v2 and
+/// v3, the FKS tables in v1), and the file against a dense n × n matrix of
 /// 8-byte distances, the structure the oracle competes with.
 void PrintSpace(const FlatFileInfo& info, const FlatMeta& meta,
                 size_t file_bytes) {
@@ -1759,10 +1763,11 @@ int InspectFile(const Args& args) {
                  view.status().ToString().c_str());
     return 1;
   }
-  if (view->converted_from_v1()) {
-    std::printf("  converted v1 oracle to TSOFLAT v2 in memory: %zu bytes "
-                "as v2\n",
-                view->SizeBytes());
+  if (view->converted_from() != 0) {
+    std::printf("  converted v%u oracle to TSOFLAT v%u in memory: %zu bytes "
+                "as v%u\n",
+                view->converted_from(), kFlatFormatVersion, view->SizeBytes(),
+                kFlatFormatVersion);
   }
   std::printf(
       "  oracle: n=%zu POIs eps=%.3g height=%d node_pairs=%zu "
