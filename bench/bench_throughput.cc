@@ -2,17 +2,24 @@
 // immutable SE oracle as the worker count grows (1, 2, 4, 8, hw). Not a
 // paper figure — this is the system-side benchmark backing the batch layer
 // (query/batch.h): the oracle's O(h) probes are embarrassingly parallel, so
-// QPS should scale near-linearly until memory bandwidth saturates.
+// QPS should scale near-linearly until memory bandwidth saturates. The same
+// oracle, packed into 4 shards, is then served by a ServeEngine in process
+// and by a tsod server over loopback TCP.
 //
 // Besides the usual table, every measurement is emitted as one
 // machine-readable line (schema in docs/bench-json.md; the CI gate tracks
-// the workload sizes and coarse floors):
+// the workload sizes, exact counters and coarse floors):
 //   BENCH {"bench":"throughput","workload":...,"threads":...,"qps":...}
+//   BENCH {"bench":"serve","workload":"net_p2p","queries":...,"qps":...}
+// The process exits non-zero if any answer over the wire differs from the
+// in-process engine's.
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <deque>
 #include <filesystem>
+#include <memory>
 #include <thread>
 
 #include "base/atomic_file.h"
@@ -22,6 +29,8 @@
 #include "bench/bench_common.h"
 #include "dyn/dynamic_oracle.h"
 #include "geodesic/dijkstra_solver.h"
+#include "net/client.h"
+#include "net/server.h"
 #include "oracle/pack_view.h"
 #include "query/batch.h"
 #include "serve/engine.h"
@@ -49,7 +58,189 @@ std::vector<uint32_t> ThreadCounts() {
   return counts;
 }
 
-void Run() {
+bool BitsEqual(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// One client connection to `engine` through its own loopback tsod server.
+/// The client is declared last so it closes before the server drains.
+struct LoopbackConnection {
+  explicit LoopbackConnection(ServeEngine& engine) : server(&engine, {}) {
+    TSO_CHECK_OK(server.Start());
+    TSO_CHECK_OK(client.Connect("127.0.0.1", server.port()));
+  }
+  TsodServer server;
+  TsodClient client;
+};
+
+/// The loopback wire workloads: the first 2,000 query pairs against `path`
+/// served by a TsodServer, pipelined (net_p2p), as one Batch RPC
+/// (net_batch), and as 500 blocking round trips (net_latency). Fixed sizes,
+/// not Scaled: the gate pins them. Every answer is bit-compared against the
+/// in-process engine; returns the number that differ or failed.
+uint64_t RunNetWorkloads(
+    const std::string& path,
+    const std::vector<std::pair<uint32_t, uint32_t>>& all_pairs) {
+  ServeEngine engine;
+  TSO_CHECK_OK(engine.Load(path));
+  const std::vector<std::pair<uint32_t, uint32_t>> pairs(
+      all_pairs.begin(), all_pairs.begin() + 2000);
+  StatusOr<std::vector<double>> expected = engine.Batch(pairs, 1);
+  TSO_CHECK(expected.ok());
+  LoopbackConnection wire(engine);
+  std::printf("net: serving on 127.0.0.1:%u\n", wire.server.port());
+
+  // net_p2p: pipelined single-distance RPCs with a bounded outstanding
+  // window. The server coalesces each pipelined run into one engine batch.
+  constexpr size_t kWindow = 128;
+  uint64_t p2p_mismatches = 0;
+  WallTimer p2p_timer;
+  size_t sent = 0;
+  for (size_t received = 0; received < pairs.size(); ++received) {
+    while (sent < pairs.size() && sent - received < kWindow) {
+      TSO_CHECK_OK(
+          wire.client.SendDistance(pairs[sent].first, pairs[sent].second));
+      ++sent;
+    }
+    StatusOr<double> d = wire.client.RecvDistance();
+    if (!d.ok() || !BitsEqual(*d, (*expected)[received])) ++p2p_mismatches;
+  }
+  const double p2p_qps = pairs.size() / p2p_timer.ElapsedSeconds();
+  std::printf(
+      "net_p2p: %zu pipelined queries (%.0f qps, window %zu, %llu "
+      "mismatches)\n",
+      pairs.size(), p2p_qps, kWindow,
+      static_cast<unsigned long long>(p2p_mismatches));
+  BenchJson("serve")
+      .Str("workload", "net_p2p")
+      .Int("queries", pairs.size())
+      .Num("qps", p2p_qps, 1)
+      .Int("mismatches", p2p_mismatches)
+      .Emit();
+
+  // net_batch: the same pairs as one Batch RPC, one frame each way.
+  WallTimer batch_timer;
+  StatusOr<std::vector<double>> got = wire.client.Batch(pairs);
+  const double batch_qps = pairs.size() / batch_timer.ElapsedSeconds();
+  uint64_t batch_mismatches = pairs.size();
+  if (got.ok() && got->size() == pairs.size()) {
+    batch_mismatches = 0;
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      if (!BitsEqual((*got)[i], (*expected)[i])) ++batch_mismatches;
+    }
+  }
+  std::printf("net_batch: %zu queries in one RPC (%.0f qps, %llu mismatches)\n",
+              pairs.size(), batch_qps,
+              static_cast<unsigned long long>(batch_mismatches));
+  BenchJson("serve")
+      .Str("workload", "net_batch")
+      .Int("queries", pairs.size())
+      .Num("qps", batch_qps, 1)
+      .Int("mismatches", batch_mismatches)
+      .Emit();
+
+  // net_latency: blocking round trips, one at a time, each timed into the
+  // HDR-style histogram: end-to-end wire latency including framing and the
+  // kernel loopback, where net_p2p measures only throughput. Capped at 500:
+  // round trips dominate, more adds no signal.
+  constexpr size_t kLatencyQueries = 500;
+  LatencyHistogram hist;
+  uint64_t lat_mismatches = 0;
+  for (size_t i = 0; i < kLatencyQueries; ++i) {
+    WallTimer rt;
+    StatusOr<double> d = wire.client.Distance(pairs[i].first, pairs[i].second);
+    hist.Record(static_cast<uint64_t>(rt.ElapsedMicros()));
+    if (!d.ok() || !BitsEqual(*d, (*expected)[i])) ++lat_mismatches;
+  }
+  std::printf(
+      "net_latency: %zu blocking round trips, p50=%llu p95=%llu p99=%llu "
+      "max=%llu us (%llu mismatches)\n",
+      kLatencyQueries, static_cast<unsigned long long>(hist.Percentile(50.0)),
+      static_cast<unsigned long long>(hist.Percentile(95.0)),
+      static_cast<unsigned long long>(hist.Percentile(99.0)),
+      static_cast<unsigned long long>(hist.max()),
+      static_cast<unsigned long long>(lat_mismatches));
+  BenchJson("serve")
+      .Str("workload", "net_latency")
+      .Int("queries", kLatencyQueries)
+      .Int("p50_us", hist.Percentile(50.0))
+      .Int("p95_us", hist.Percentile(95.0))
+      .Int("p99_us", hist.Percentile(99.0))
+      .Int("mismatches", lat_mismatches)
+      .Emit();
+  return p2p_mismatches + batch_mismatches + lat_mismatches;
+}
+
+/// The failpoint overload script, written once and run over each query
+/// path. `connect(engine)` returns a callable `query(deadline_us)` (0 = no
+/// deadline) that asks `engine` for d(0, 1) from one thread: directly, or
+/// over one wire connection. The counts are exact rather than
+/// timing-derived: a paused query wedges a max_inflight=1 engine and every
+/// concurrent query sheds; a delay(1) injection blows a 100us deadline
+/// every time; the disarmed engine then answers again. Every reply's status
+/// is checked, so the emitted counts can only be the pinned ones whatever
+/// the machine speed. Fixed-size (not Scaled): the workload is admission
+/// arithmetic, not data-plane work.
+template <typename Connect>
+void RunOverloadScript(const char* bench, const char* workload,
+                       const std::string& path, Connect connect) {
+  ServeOptions shed_options;
+  shed_options.max_inflight = 1;
+  ServeEngine shed_engine(shed_options);
+  TSO_CHECK_OK(shed_engine.Load(path));
+  TSO_CHECK_OK(failpoint::Arm("serve.query", "pause"));
+  // Holds the single admission slot, paused at the failpoint until the main
+  // thread disarms it; its answer must still arrive.
+  std::thread blocker([query = connect(shed_engine)]() {
+    TSO_CHECK_OK(query(0).status());
+  });
+  while (shed_engine.stats().inflight == 0) std::this_thread::yield();
+  constexpr uint64_t kShedQueries = 1000;
+  {
+    auto query = connect(shed_engine);
+    for (uint64_t i = 0; i < kShedQueries; ++i) {
+      TSO_CHECK(query(0).status().code() == StatusCode::kUnavailable);
+    }
+  }
+  failpoint::Disarm("serve.query");
+  blocker.join();
+
+  ServeEngine deadline_engine;
+  TSO_CHECK_OK(deadline_engine.Load(path));
+  auto query = connect(deadline_engine);
+  TSO_CHECK_OK(failpoint::Arm("serve.query", "delay(1)"));
+  constexpr uint64_t kDeadlineQueries = 200;
+  for (uint64_t i = 0; i < kDeadlineQueries; ++i) {
+    TSO_CHECK(query(100).status().code() == StatusCode::kDeadlineExceeded);
+  }
+  failpoint::Disarm("serve.query");
+  constexpr uint64_t kRecoveryQueries = 100;
+  for (uint64_t i = 0; i < kRecoveryQueries; ++i) {
+    TSO_CHECK_OK(query(0).status());
+  }
+
+  const ServeEngine::Stats shed_stats = shed_engine.stats();
+  const ServeEngine::Stats deadline_stats = deadline_engine.stats();
+  TSO_CHECK(shed_stats.shed == kShedQueries);
+  TSO_CHECK(deadline_stats.deadline_exceeded == kDeadlineQueries);
+  TSO_CHECK(deadline_stats.health == ServeHealth::kServing);
+  std::printf(
+      "%s: %llu shed at max_inflight=1, %llu deadline-exceeded at 100us "
+      "budget, %llu served after recovery (health %s)\n",
+      workload, static_cast<unsigned long long>(shed_stats.shed),
+      static_cast<unsigned long long>(deadline_stats.deadline_exceeded),
+      static_cast<unsigned long long>(kRecoveryQueries),
+      ServeHealthName(deadline_stats.health));
+  BenchJson(bench)
+      .Str("workload", workload)
+      .Int("shed", shed_stats.shed)
+      .Int("deadline_exceeded", deadline_stats.deadline_exceeded)
+      .Int("recovered", kRecoveryQueries)
+      .Str("health", ServeHealthName(deadline_stats.health))
+      .Emit();
+}
+
+int Run() {
   const uint64_t seed = 42;
   PrintHeader("Query throughput — concurrent batch engine",
               "system bench (query/batch.h), not a paper figure", seed);
@@ -333,79 +524,46 @@ void Run() {
       .Num("qps", dyn_qps, 1)
       .Emit();
 
-  // --- Workload 5: overload shedding and deadline enforcement ---
-  // Failpoint-driven, so the counters are exact rather than timing-derived:
-  // a paused query wedges a max_inflight=1 engine and every concurrent query
-  // sheds; a delay(1) injection blows a 100us per-query deadline every time.
-  // Deterministic regardless of machine speed — the CI gate pins all three
-  // counters with zero tolerance. Fixed-size (not Scaled): the workload is
-  // admission arithmetic, not data-plane work.
+  // The pack on disk, served by both workloads below.
   const std::string serve_path =
-      (std::filesystem::temp_directory_path() / "tso_bench_overload.tsop")
+      (std::filesystem::temp_directory_path() / "tso_bench_serve.tsop")
           .string();
   TSO_CHECK_OK(WriteFileAtomic(serve_path, *pack_bytes));
 
-  ServeOptions shed_options;
-  shed_options.max_inflight = 1;
-  ServeEngine shed_engine(shed_options);
-  TSO_CHECK_OK(shed_engine.Load(serve_path));
-  TSO_CHECK_OK(failpoint::Arm("serve.query", "pause"));
-  std::thread blocker([&shed_engine]() {
-    // Holds the single admission slot, paused at the failpoint until the
-    // main thread disarms it.
-    TSO_CHECK_OK(shed_engine.Distance(0, 1).status());
-  });
-  while (shed_engine.stats().inflight == 0) std::this_thread::yield();
-  constexpr uint64_t kShedQueries = 1000;
-  for (uint64_t i = 0; i < kShedQueries; ++i) {
-    const Status s = shed_engine.Distance(0, 1).status();
-    TSO_CHECK(s.code() == StatusCode::kUnavailable);
-  }
-  failpoint::Disarm("serve.query");
-  blocker.join();
+  // --- Workload 5: the pack served over loopback TCP ---
+  const uint64_t net_mismatches = RunNetWorkloads(serve_path, pairs);
 
-  ServeEngine deadline_engine;
-  TSO_CHECK_OK(deadline_engine.Load(serve_path));
-  TSO_CHECK_OK(failpoint::Arm("serve.query", "delay(1)"));
-  constexpr uint64_t kDeadlineQueries = 200;
-  QueryOptions tight;
-  tight.deadline = std::chrono::microseconds(100);
-  for (uint64_t i = 0; i < kDeadlineQueries; ++i) {
-    const Status s = deadline_engine.Distance(0, 1, tight).status();
-    TSO_CHECK(s.code() == StatusCode::kDeadlineExceeded);
-  }
-  failpoint::Disarm("serve.query");
-  constexpr uint64_t kRecoveryQueries = 100;
-  for (uint64_t i = 0; i < kRecoveryQueries; ++i) {
-    TSO_CHECK_OK(deadline_engine.Distance(0, 1).status());
-  }
-
-  const ServeEngine::Stats shed_stats = shed_engine.stats();
-  const ServeEngine::Stats deadline_stats = deadline_engine.stats();
-  TSO_CHECK(shed_stats.shed == kShedQueries);
-  TSO_CHECK(deadline_stats.deadline_exceeded == kDeadlineQueries);
-  TSO_CHECK(deadline_stats.health == ServeHealth::kServing);
-  std::printf(
-      "overload: %llu shed at max_inflight=1, %llu deadline-exceeded at "
-      "100us budget, %llu served after recovery (health %s)\n",
-      static_cast<unsigned long long>(shed_stats.shed),
-      static_cast<unsigned long long>(deadline_stats.deadline_exceeded),
-      static_cast<unsigned long long>(kRecoveryQueries),
-      ServeHealthName(deadline_stats.health));
-  BenchJson("throughput")
-      .Str("workload", "overload")
-      .Int("shed", shed_stats.shed)
-      .Int("deadline_exceeded", deadline_stats.deadline_exceeded)
-      .Int("recovered", kRecoveryQueries)
-      .Str("health", ServeHealthName(deadline_stats.health))
-      .Emit();
+  // --- Workload 6: overload shedding and deadline enforcement ---
+  // The same script in process and over the wire.
+  RunOverloadScript("throughput", "overload", serve_path,
+                    [](ServeEngine& engine) {
+                      return [&engine](uint64_t deadline_us) {
+                        QueryOptions options;
+                        options.deadline =
+                            std::chrono::microseconds(deadline_us);
+                        return engine.Distance(0, 1, options);
+                      };
+                    });
+  RunOverloadScript("serve", "net_overload", serve_path,
+                    [](ServeEngine& engine) {
+                      auto wire = std::make_unique<LoopbackConnection>(engine);
+                      return [wire = std::move(wire)](uint64_t deadline_us) {
+                        return wire->client.Distance(0, 1, deadline_us);
+                      };
+                    });
   std::filesystem::remove(serve_path);
+
+  if (net_mismatches != 0) {
+    std::fprintf(stderr,
+                 "bench_throughput: %llu answers over the wire differ from "
+                 "the in-process engine\n",
+                 static_cast<unsigned long long>(net_mismatches));
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace
 }  // namespace tso::bench
 
-int main() {
-  tso::bench::Run();
-  return 0;
-}
+int main() { return tso::bench::Run(); }

@@ -5,6 +5,7 @@
 // already sent (buffered or in flight at the engine) gets its response
 // before the connection closes; protocol garbage must kill only its own
 // connection; the connection cap must shed with kUnavailable at the door;
+// engine shed and deadline statuses must reach the client as statuses;
 // and the client must send a pipelined window in one write. The
 // multi-connection hammer against a reloading engine is the TSan target
 // (CI runs this suite under -fsanitize=thread).
@@ -454,6 +455,48 @@ TEST(TsodServer, ConnectionCapShedsWithUnavailable) {
   server.Shutdown();
   EXPECT_EQ(server.stats().shed_connections, 1u);
   EXPECT_EQ(server.stats().accepted, 2u);
+}
+
+// Engine overload reaches the client as a status, not a dead connection:
+// a shed comes back kUnavailable and a blown wire deadline
+// kDeadlineExceeded through the frame's status field, and the same
+// connection answers normally once the engine recovers.
+TEST(TsodServer, OverloadStatusesCrossTheWire) {
+  NetFixture& fx = Fixture();
+  ServeOptions options;
+  options.max_inflight = 1;
+  ServeEngine engine(options);
+  ASSERT_TRUE(engine.Load(fx.pack4_path).ok());
+  TsodServer server(&engine, {});
+  ASSERT_TRUE(server.Start().ok());
+
+  // The blocker's query holds the single admission slot, paused inside the
+  // engine, so the second connection's query must shed.
+  TsodClient blocker;
+  ASSERT_TRUE(blocker.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(failpoint::Arm("serve.query", "pause").ok());
+  ASSERT_TRUE(blocker.SendDistance(0, 1).ok());
+  ASSERT_TRUE(blocker.Flush().ok());
+  while (engine.stats().inflight == 0) std::this_thread::yield();
+  TsodClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  EXPECT_EQ(client.Distance(2, 3).status().code(), StatusCode::kUnavailable);
+  failpoint::Disarm("serve.query");
+  StatusOr<double> held = blocker.RecvDistance();
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  EXPECT_EQ(engine.stats().shed, 1u);
+
+  ASSERT_TRUE(failpoint::Arm("serve.query", "delay(1)").ok());
+  EXPECT_EQ(client.Distance(2, 3, /*deadline_us=*/100).status().code(),
+            StatusCode::kDeadlineExceeded);
+  failpoint::Disarm("serve.query");
+  EXPECT_EQ(engine.stats().deadline_exceeded, 1u);
+
+  StatusOr<double> got = client.Distance(2, 3);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(BitsEqual(*got, *engine.Distance(2, 3)));
+  EXPECT_TRUE(BitsEqual(*held, *engine.Distance(0, 1)));
+  server.Shutdown();
 }
 
 // The client batches its sends: pipelined requests stay in the process

@@ -36,10 +36,13 @@ schema drift (renamed keys, missing configurations, duplicated emission) is
 a failure too, so the gated schema stays honest.
 
 --update rewrites the baseline's "value" fields from the measured records
-(keeping directions, tolerances, and notes) after an intentional change.
+(keeping directions, tolerances, and notes) after an intentional change. It
+refuses, writing nothing, unless every tracked entry matches exactly one
+record, so the records must come from every bench the baseline tracks.
 """
 
 import argparse
+import copy
 import json
 import sys
 
@@ -118,6 +121,33 @@ def check_entry(entry, records, default_tolerance):
     return True, measured, f"{name}: ok ({measured:g})"
 
 
+def refresh_values(baseline, records):
+    """Copies each tracked entry's measured value into its "value" field.
+
+    All or nothing: returns one message per entry that does not match
+    exactly one record carrying its key, and changes nothing when there is
+    any, so a refresh from partial output cannot leave stale pins behind.
+    """
+    problems = []
+    measured = []
+    for entry in baseline["tracked"]:
+        name = entry.get("name", json.dumps(entry.get("match", {})))
+        matches = find_matches(records, entry["match"])
+        if len(matches) != 1 or entry["key"] not in matches[0]:
+            problems.append(
+                f"{name}: expected exactly 1 matching record with key "
+                f"'{entry['key']}', found {len(matches)} matching records"
+            )
+        else:
+            measured.append((entry, matches[0][entry["key"]]))
+    if problems:
+        return problems
+    for entry, value in measured:
+        if "value" in entry:
+            entry["value"] = value
+    return []
+
+
 def run_compare(baseline_path, jsonl_paths, update):
     with open(baseline_path, "r", encoding="utf-8") as f:
         baseline = json.load(f)
@@ -125,16 +155,18 @@ def run_compare(baseline_path, jsonl_paths, update):
     default_tolerance = baseline.get("default_tolerance", DEFAULT_TOLERANCE)
 
     if update:
-        updated = 0
-        for entry in baseline["tracked"]:
-            matches = find_matches(records, entry["match"])
-            if len(matches) == 1 and entry["key"] in matches[0]:
-                if "value" in entry:
-                    entry["value"] = matches[0][entry["key"]]
-                    updated += 1
+        problems = refresh_values(baseline, records)
+        if problems:
+            for problem in problems:
+                print("UNMATCHED " + problem, file=sys.stderr)
+            print(f"\n{len(problems)} tracked entries have no single "
+                  f"measured record; {baseline_path} was not updated. Pass "
+                  "every --jsonl the baseline tracks.", file=sys.stderr)
+            return 1
         with open(baseline_path, "w", encoding="utf-8") as f:
             json.dump(baseline, f, indent=2)
             f.write("\n")
+        updated = sum("value" in e for e in baseline["tracked"])
         print(f"updated {updated} baseline values in {baseline_path}")
         return 0
 
@@ -206,6 +238,11 @@ def self_test():
             for e in baseline["tracked"]
         ]
 
+    def refresh(records):
+        trial = copy.deepcopy(baseline)
+        problems = refresh_values(trial, records)
+        return len(problems), [e["value"] for e in trial["tracked"]]
+
     cases = [
         (outcome(good), [True, True], "clean run must pass"),
         (outcome(regressed_settles), [False, True],
@@ -216,6 +253,10 @@ def self_test():
          "missing record must fail the gate"),
         (outcome(duplicated), [False, True],
          "duplicated record must fail the gate"),
+        (refresh(missing_record), (1, [1000, 50000]),
+         "--update from partial records must be refused, changing nothing"),
+        (refresh(good), (0, [1100, 60000]),
+         "--update from complete records must refresh every value"),
     ]
     for got, want, what in cases:
         if got != want:

@@ -5,21 +5,15 @@
 //   tso query         — load a saved oracle/pack, answer POI-to-POI queries
 //   tso serve         — tsod: serve an oracle over loopback TCP (wire proto)
 //   tso client        — query a running tsod server over TCP
-//   tso serve-bench   — ServeEngine throughput + hot-reload benchmark
-//                       (--net adds a loopback client/server measurement)
 //   tso inspect       — print layout/checksums of an oracle or pack file
-//   tso bench         — end-to-end build + query micro-benchmark
 //
 // This is the stable entry point for running the system outside the gtest
-// harness; the paper-figure benches under bench/ remain the source of truth
-// for reproducing figures.
+// harness. Measurements live under bench/: the paper-figure benches and the
+// serving benchmarks (bench_throughput, in process and over loopback TCP).
 
-#include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -36,8 +30,6 @@
 
 #include "base/atomic_file.h"
 #include "base/crc32.h"
-#include "base/failpoint.h"
-#include "base/histogram.h"
 #include "base/mmap_file.h"
 #include "dyn/dynamic_oracle.h"
 #include "base/rng.h"
@@ -72,16 +64,14 @@ struct Args {
   size_t pois = 0;        // 0 = dataset default
   uint32_t threads = 0;   // 0 = hardware concurrency
   uint32_t ssad_batch = 4;     // enhanced-edge sources per SSAD sweep
-  uint32_t query_threads = 0;  // bench: 0 = serial only, T = throughput mode
+  uint32_t query_threads = 0;  // serve: threads for batches and kNN/range
   size_t random_queries = 0;
-  size_t bench_queries = 1000;
   uint32_t shards = 4;                // pack: shard count
   std::string policy = "poi-range";   // pack: poi-range | geo
-  size_t reloads = 0;                 // serve-bench: hot reloads under load
   size_t churn = 0;        // --dynamic: seeded removes applied after mount
-  uint64_t max_inflight = 0;   // serve-bench: admission cap (0 = unlimited)
-  uint64_t deadline_us = 0;    // serve-bench: per-query budget (0 = none)
-  uint32_t load_retries = 0;   // serve-bench: transient Load retries
+  uint64_t max_inflight = 0;   // serve: admission cap (0 = unlimited)
+  uint64_t deadline_us = 0;    // serve/client: per-query budget (0 = none)
+  uint32_t load_retries = 0;   // serve: transient Load retries
   std::string host = "127.0.0.1";  // client: server address
   std::string port_file;       // serve: write bound port; client: read it
   std::string check_against;   // client: in-process engine to compare with
@@ -93,14 +83,12 @@ struct Args {
   double range_radius = 0;
   bool knn_set = false;
   bool range_set = false;
-  bool net = false;        // serve-bench: loopback client/server measurement
   bool batch = false;      // client: one Batch RPC instead of per-pair
   bool stats = false;      // client: print server stats
   bool health = false;     // client: print server health
   bool deep = false;       // inspect: per-section report for every shard
   bool dynamic = false;    // query/inspect: mount the dynamic layer
   bool out_set = false;               // --out given (pack defaults differ)
-  bool check = false;
 };
 
 // Checked numeric flag parsers: unlike atof/strtoul, these reject empty
@@ -165,16 +153,11 @@ commands:
   serve          tsod: serve an oracle over loopback TCP speaking the tsod
                  wire protocol (docs/serving.md); SIGTERM drains gracefully
   client         query a running tsod server over TCP
-  serve-bench    ServeEngine throughput benchmark, optionally with hot
-                 reloads republishing the mapping under load; --net adds a
-                 loopback client/server measurement with BENCH JSON output
   inspect        print the layout of a saved oracle or pack file (header,
                  sections, checksums; non-zero exit on any corruption)
-  bench          build + query micro-benchmark (one line per phase)
 
-Thread flags, uniformly: --build-threads T drives construction phases,
---query-threads T drives query throughput measurement; 0 means hardware
-concurrency for builds and "off" for throughput modes.
+Benchmarks are not CLI commands: see bench/ (bench_throughput measures the
+engine in process and over loopback TCP).
 
 build-oracle options:
   --dataset bh|ep|sf|sf-small   paper dataset stand-in (default sf-small)
@@ -221,8 +204,13 @@ serve options:
                                 kUnavailable frame and are closed (def. 64)
   --query-threads T             threads for coalesced batches and kNN/range
                                 (default 1)
-  --max-inflight / --deadline-us / --load-retries
-                                engine hardening knobs, as in serve-bench
+  --max-inflight N              admission cap: shed queries beyond N in
+                                flight with kUnavailable (0 = unlimited)
+  --deadline-us U               default per-query deadline in microseconds
+                                (0 = none); exceeded queries report
+                                kDeadlineExceeded and are counted
+  --load-retries R              retry transient Load failures up to R times
+                                with doubling backoff (default 0)
 
 client options:
   --host H --port N             server address (default 127.0.0.1)
@@ -237,26 +225,6 @@ client options:
                                 unless every answer is bit-identical
   --seed S                      seed for --random
 
-serve-bench options:
-  --oracle PATH                 oracle or pack file to serve (required)
-  --net                         also serve over loopback TCP and measure
-                                pipelined/batch QPS and failpoint-driven
-                                overload counters (BENCH JSON lines)
-  --queries N                   timed queries per measurement (default 1000)
-  --query-threads T             concurrent throughput threads (0 = off,
-                                serial measurement only)
-  --reloads M                   hot-reload the file M times while the query
-                                hammer runs; reports failed queries (must
-                                be 0) and reload latency
-  --max-inflight N              admission cap: shed queries beyond N in
-                                flight with kUnavailable (0 = unlimited)
-  --deadline-us U               per-query deadline budget in microseconds
-                                (0 = none); exceeded queries report
-                                kDeadlineExceeded and are counted
-  --load-retries R              retry transient Load failures up to R times
-                                with doubling backoff (default 0)
-  --seed S                      seed for the query workload
-
 inspect options:
   --oracle PATH                 saved oracle or pack file (required)
   --deep                        for packs: print and verify the full inner
@@ -268,12 +236,6 @@ inspect options:
   --churn N                     with --dynamic: tombstone N random live POIs
                                 first, so the reported delta/epoch state is
                                 non-trivial (seeded by --seed)
-
-bench options: same generation options as build-oracle, plus
-  --queries N                   number of timed queries (default 1000)
-  --query-threads T             also measure concurrent query throughput
-                                (QPS at 1 thread vs T threads; 0 = off)
-  --check                       verify answers against the exact solver
 )");
 }
 
@@ -312,9 +274,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
                      "tso: bad --policy '%s' (expected poi-range|geo)\n", v);
         return false;
       }
-    } else if (flag == "--reloads") {
-      if (!(v = next())) return false;
-      if (!ParseSizeFlag(flag, v, &args->reloads)) return false;
     } else if (flag == "--max-inflight") {
       if (!(v = next())) return false;
       if (!ParseU64Flag(flag, v, &args->max_inflight)) return false;
@@ -364,8 +323,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
         return false;
       }
       args->range_set = true;
-    } else if (flag == "--net") {
-      args->net = true;
     } else if (flag == "--batch") {
       args->batch = true;
     } else if (flag == "--stats") {
@@ -401,16 +358,11 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--random") {
       if (!(v = next())) return false;
       if (!ParseSizeFlag(flag, v, &args->random_queries)) return false;
-    } else if (flag == "--queries") {
-      if (!(v = next())) return false;
-      if (!ParseSizeFlag(flag, v, &args->bench_queries)) return false;
     } else if (flag == "--dynamic") {
       args->dynamic = true;
     } else if (flag == "--churn") {
       if (!(v = next())) return false;
       if (!ParseSizeFlag(flag, v, &args->churn)) return false;
-    } else if (flag == "--check") {
-      args->check = true;
     } else if (flag == "--pair") {
       if (!(v = next())) return false;
       uint32_t s = 0, t = 0;
@@ -1101,448 +1053,6 @@ int CmdClient(const Args& args) {
   return 0;
 }
 
-/// `tso serve-bench --net`: loopback client/server measurement. Three
-/// BENCH JSON workloads, mirroring the in-process bench gate shapes:
-/// net_p2p (pipelined singles, server-coalesced), net_batch (one Batch
-/// RPC), and net_overload (failpoint-driven exact shed / deadline /
-/// recovery counters over the wire).
-int CmdServeBenchNet(const Args& args, ServeEngine& engine) {
-  const size_t n = static_cast<size_t>(engine.stats().num_pois);
-  TsodServerOptions net_options;
-  net_options.batch_threads = 1;
-  TsodServer server(&engine, net_options);
-  Status started = server.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "tso: listen: %s\n", started.ToString().c_str());
-    return 1;
-  }
-  std::printf("net: serving on 127.0.0.1:%u\n", server.port());
-
-  Rng rng(args.seed ^ 0x9e3779b97f4a7c15ULL);
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
-  pairs.reserve(args.bench_queries);
-  for (size_t i = 0; i < args.bench_queries; ++i) {
-    pairs.emplace_back(static_cast<uint32_t>(rng.Uniform(n)),
-                       static_cast<uint32_t>(rng.Uniform(n)));
-  }
-  StatusOr<std::vector<double>> expected = engine.Batch(pairs, 1);
-  if (!expected.ok()) {
-    std::fprintf(stderr, "tso: expected answers: %s\n",
-                 expected.status().ToString().c_str());
-    return 1;
-  }
-
-  TsodClient client;
-  Status connected = client.Connect("127.0.0.1", server.port());
-  if (!connected.ok()) {
-    std::fprintf(stderr, "tso: connect: %s\n",
-                 connected.ToString().c_str());
-    return 1;
-  }
-
-  // net_p2p: pipelined single-distance RPCs with a bounded outstanding
-  // window. The server coalesces each pipelined run into one engine batch.
-  constexpr size_t kWindow = 128;
-  uint64_t p2p_mismatches = 0;
-  WallTimer p2p_timer;
-  size_t sent = 0, received = 0;
-  while (received < pairs.size()) {
-    while (sent < pairs.size() && sent - received < kWindow) {
-      Status queued = client.SendDistance(pairs[sent].first,
-                                          pairs[sent].second);
-      if (!queued.ok()) {
-        std::fprintf(stderr, "tso: send: %s\n", queued.ToString().c_str());
-        return 1;
-      }
-      ++sent;
-    }
-    StatusOr<double> d = client.RecvDistance();
-    if (!d.ok()) {
-      std::fprintf(stderr, "tso: recv: %s\n",
-                   d.status().ToString().c_str());
-      return 1;
-    }
-    if (!BitsEqual(*d, (*expected)[received])) ++p2p_mismatches;
-    ++received;
-  }
-  const double p2p_secs = p2p_timer.ElapsedSeconds();
-  const double p2p_qps = pairs.size() / p2p_secs;
-  std::printf(
-      "net_p2p: %zu pipelined queries in %.3fs (%.0f qps, window %zu, "
-      "%llu mismatches)\n",
-      pairs.size(), p2p_secs, p2p_qps, kWindow,
-      static_cast<unsigned long long>(p2p_mismatches));
-  std::printf(
-      "BENCH {\"bench\":\"serve\",\"workload\":\"net_p2p\","
-      "\"queries\":%zu,\"qps\":%.1f,\"mismatches\":%llu}\n",
-      pairs.size(), p2p_qps,
-      static_cast<unsigned long long>(p2p_mismatches));
-
-  // net_batch: the same pairs as one Batch RPC — one frame each way.
-  uint64_t batch_mismatches = 0;
-  WallTimer batch_timer;
-  StatusOr<std::vector<double>> got = client.Batch(pairs);
-  const double batch_secs = batch_timer.ElapsedSeconds();
-  if (!got.ok()) {
-    std::fprintf(stderr, "tso: batch: %s\n",
-                 got.status().ToString().c_str());
-    return 1;
-  }
-  if (got->size() != expected->size()) {
-    batch_mismatches = pairs.size();
-  } else {
-    for (size_t i = 0; i < got->size(); ++i) {
-      if (!BitsEqual((*got)[i], (*expected)[i])) ++batch_mismatches;
-    }
-  }
-  const double batch_qps = pairs.size() / batch_secs;
-  std::printf(
-      "net_batch: %zu queries in one RPC in %.3fs (%.0f qps, "
-      "%llu mismatches)\n",
-      pairs.size(), batch_secs, batch_qps,
-      static_cast<unsigned long long>(batch_mismatches));
-  std::printf(
-      "BENCH {\"bench\":\"serve\",\"workload\":\"net_batch\","
-      "\"queries\":%zu,\"qps\":%.1f,\"mismatches\":%llu}\n",
-      pairs.size(), batch_qps,
-      static_cast<unsigned long long>(batch_mismatches));
-
-  // net_latency: blocking request/response round trips, one at a time, each
-  // timed into the HDR-style histogram — end-to-end wire latency including
-  // framing and the kernel loopback, where the pipelined run above measures
-  // only throughput. Capped: round trips dominate, more adds no signal.
-  const size_t lat_queries = std::min<size_t>(pairs.size(), 500);
-  LatencyHistogram net_hist;
-  uint64_t lat_mismatches = 0;
-  for (size_t i = 0; i < lat_queries; ++i) {
-    WallTimer rt;
-    StatusOr<double> d = client.Distance(pairs[i].first, pairs[i].second);
-    const uint64_t us = static_cast<uint64_t>(rt.ElapsedMicros());
-    if (!d.ok()) {
-      std::fprintf(stderr, "tso: latency rpc: %s\n",
-                   d.status().ToString().c_str());
-      return 1;
-    }
-    if (!BitsEqual(*d, (*expected)[i])) ++lat_mismatches;
-    net_hist.Record(us);
-  }
-  std::printf(
-      "net_latency: %zu blocking round trips, p50=%llu p95=%llu p99=%llu "
-      "max=%llu us (%llu mismatches)\n",
-      lat_queries,
-      static_cast<unsigned long long>(net_hist.Percentile(50.0)),
-      static_cast<unsigned long long>(net_hist.Percentile(95.0)),
-      static_cast<unsigned long long>(net_hist.Percentile(99.0)),
-      static_cast<unsigned long long>(net_hist.max()),
-      static_cast<unsigned long long>(lat_mismatches));
-  std::printf(
-      "BENCH {\"bench\":\"serve\",\"workload\":\"net_latency\","
-      "\"queries\":%zu,\"p50_us\":%llu,\"p95_us\":%llu,\"p99_us\":%llu,"
-      "\"mismatches\":%llu}\n",
-      lat_queries,
-      static_cast<unsigned long long>(net_hist.Percentile(50.0)),
-      static_cast<unsigned long long>(net_hist.Percentile(95.0)),
-      static_cast<unsigned long long>(net_hist.Percentile(99.0)),
-      static_cast<unsigned long long>(lat_mismatches));
-  client.Close();
-  server.Shutdown();
-
-  // net_overload: failpoint-driven exact counters over the wire, the
-  // networked mirror of bench_throughput's overload workload. A paused
-  // query wedges a max_inflight=1 engine through its own connection; 1000
-  // blocking (non-pipelined, so never coalesced) requests on a second
-  // connection must each shed with kUnavailable.
-  ServeOptions shed_options;
-  shed_options.max_inflight = 1;
-  ServeEngine shed_engine(shed_options);
-  Status loaded = shed_engine.Load(args.oracle_path);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "tso: load: %s\n", loaded.ToString().c_str());
-    return 1;
-  }
-  TsodServer shed_server(&shed_engine, net_options);
-  if (Status s = shed_server.Start(); !s.ok()) {
-    std::fprintf(stderr, "tso: listen: %s\n", s.ToString().c_str());
-    return 1;
-  }
-  if (Status s = failpoint::Arm("serve.query", "pause"); !s.ok()) {
-    std::fprintf(stderr, "tso: failpoint: %s\n", s.ToString().c_str());
-    return 1;
-  }
-  std::thread blocker([&shed_server]() {
-    // Holds the single admission slot, paused at the failpoint until the
-    // main thread disarms it; the response must still arrive.
-    TsodClient bc;
-    if (!bc.Connect("127.0.0.1", shed_server.port()).ok()) return;
-    bc.Distance(0, 1);
-  });
-  while (shed_engine.stats().inflight == 0) std::this_thread::yield();
-  constexpr uint64_t kShedQueries = 1000;
-  uint64_t shed_seen = 0;
-  {
-    TsodClient sc;
-    if (!sc.Connect("127.0.0.1", shed_server.port()).ok()) {
-      std::fprintf(stderr, "tso: connect failed\n");
-      failpoint::Disarm("serve.query");
-      blocker.join();
-      return 1;
-    }
-    for (uint64_t i = 0; i < kShedQueries; ++i) {
-      if (sc.Distance(0, 1).status().code() == StatusCode::kUnavailable) {
-        ++shed_seen;
-      }
-    }
-  }
-  failpoint::Disarm("serve.query");
-  blocker.join();
-  const uint64_t shed_count = shed_engine.stats().shed;
-  shed_server.Shutdown();
-
-  // Deadline phase: delay(1ms) injection against a 100us per-request wire
-  // deadline, then full recovery once disarmed — all on one connection.
-  ServeEngine deadline_engine;
-  if (Status s = deadline_engine.Load(args.oracle_path); !s.ok()) {
-    std::fprintf(stderr, "tso: load: %s\n", s.ToString().c_str());
-    return 1;
-  }
-  TsodServer deadline_server(&deadline_engine, net_options);
-  if (Status s = deadline_server.Start(); !s.ok()) {
-    std::fprintf(stderr, "tso: listen: %s\n", s.ToString().c_str());
-    return 1;
-  }
-  if (Status s = failpoint::Arm("serve.query", "delay(1)"); !s.ok()) {
-    std::fprintf(stderr, "tso: failpoint: %s\n", s.ToString().c_str());
-    return 1;
-  }
-  TsodClient dc;
-  if (!dc.Connect("127.0.0.1", deadline_server.port()).ok()) {
-    std::fprintf(stderr, "tso: connect failed\n");
-    failpoint::Disarm("serve.query");
-    return 1;
-  }
-  constexpr uint64_t kDeadlineQueries = 200;
-  for (uint64_t i = 0; i < kDeadlineQueries; ++i) {
-    dc.Distance(0, 1, /*deadline_us=*/100);
-  }
-  failpoint::Disarm("serve.query");
-  constexpr uint64_t kRecoveryQueries = 100;
-  uint64_t recovered = 0;
-  for (uint64_t i = 0; i < kRecoveryQueries; ++i) {
-    if (dc.Distance(0, 1).ok()) ++recovered;
-  }
-  const uint64_t deadline_count = deadline_engine.stats().deadline_exceeded;
-  const char* health =
-      ServeHealthName(deadline_engine.stats().health);
-  dc.Close();
-  deadline_server.Shutdown();
-
-  std::printf(
-      "net_overload: %llu shed at max_inflight=1 (%llu seen over the wire), "
-      "%llu deadline-exceeded at 100us budget, %llu recovered (health %s)\n",
-      static_cast<unsigned long long>(shed_count),
-      static_cast<unsigned long long>(shed_seen),
-      static_cast<unsigned long long>(deadline_count),
-      static_cast<unsigned long long>(recovered), health);
-  std::printf(
-      "BENCH {\"bench\":\"serve\",\"workload\":\"net_overload\","
-      "\"shed\":%llu,\"deadline_exceeded\":%llu,\"recovered\":%llu,"
-      "\"health\":\"%s\"}\n",
-      static_cast<unsigned long long>(shed_count),
-      static_cast<unsigned long long>(deadline_count),
-      static_cast<unsigned long long>(recovered), health);
-
-  if (p2p_mismatches != 0 || batch_mismatches != 0) {
-    std::fprintf(stderr,
-                 "tso: net bench FAILED: answers over the wire differ from "
-                 "the in-process engine\n");
-    return 1;
-  }
-  return 0;
-}
-
-int CmdServeBench(const Args& args) {
-  if (args.oracle_path.empty()) {
-    std::fprintf(stderr, "tso: serve-bench requires --oracle PATH\n");
-    return 1;
-  }
-  if (args.bench_queries == 0) {
-    std::fprintf(stderr, "tso: --queries must be > 0\n");
-    return 2;
-  }
-  ServeOptions serve_options;
-  serve_options.max_inflight = args.max_inflight;
-  serve_options.default_deadline = std::chrono::microseconds(args.deadline_us);
-  serve_options.load_retries = args.load_retries;
-  ServeEngine engine(serve_options);
-  WallTimer open_timer;
-  Status loaded = engine.Load(args.oracle_path);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "tso: load: %s\n", loaded.ToString().c_str());
-    return 1;
-  }
-  const double open_ms = open_timer.ElapsedSeconds() * 1e3;
-  const ServeEngine::Stats opened = engine.stats();
-  std::printf(
-      "serving %s: %u shard%s, n=%llu POIs, %.1f KiB mapped, opened in "
-      "%.3f ms (health %s%s)\n",
-      args.oracle_path.c_str(), opened.num_shards,
-      opened.num_shards == 1 ? "" : "s",
-      static_cast<unsigned long long>(opened.num_pois),
-      opened.mapped_bytes / 1024.0, open_ms, ServeHealthName(opened.health),
-      opened.degraded_shards > 0 ? ", degraded shards served as unavailable"
-                                 : "");
-
-  if (args.net) return CmdServeBenchNet(args, engine);
-
-  const size_t n = static_cast<size_t>(opened.num_pois);
-  Rng rng(args.seed ^ 0x9e3779b97f4a7c15ULL);
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
-  pairs.reserve(args.bench_queries);
-  for (size_t i = 0; i < args.bench_queries; ++i) {
-    pairs.emplace_back(static_cast<uint32_t>(rng.Uniform(n)),
-                       static_cast<uint32_t>(rng.Uniform(n)));
-  }
-
-  // Under --deadline-us / --max-inflight / a degraded pack, kDeadlineExceeded
-  // and kUnavailable are expected load-management outcomes, not errors: they
-  // are counted (and reported below) instead of aborting the bench.
-  uint64_t serial_rejected = 0;
-  WallTimer timer;
-  for (const auto& [s, t] : pairs) {
-    StatusOr<double> d = engine.Distance(s, t);
-    if (!d.ok()) {
-      const StatusCode code = d.status().code();
-      if (code == StatusCode::kDeadlineExceeded ||
-          code == StatusCode::kUnavailable) {
-        ++serial_rejected;
-        continue;
-      }
-      std::fprintf(stderr, "tso: query %u,%u: %s\n", s, t,
-                   d.status().ToString().c_str());
-      return 1;
-    }
-  }
-  const double secs = timer.ElapsedSeconds();
-  std::printf("serial: %zu queries in %.3fs (%.2f us/query, %llu rejected)\n",
-              pairs.size(), secs, secs / pairs.size() * 1e6,
-              static_cast<unsigned long long>(serial_rejected));
-
-  if (args.query_threads > 0) {
-    // Same tiling discipline as `tso bench`: stretch the workload so thread
-    // scaling dominates spawn overhead, compare identical work at 1 vs T.
-    constexpr size_t kMinThroughputQueries = 200000;
-    std::vector<std::pair<uint32_t, uint32_t>> tiled = pairs;
-    while (tiled.size() < kMinThroughputQueries) {
-      tiled.insert(tiled.end(), pairs.begin(), pairs.end());
-    }
-    auto measure = [&](uint32_t threads) -> StatusOr<double> {
-      WallTimer t;
-      StatusOr<std::vector<double>> answers = engine.Batch(tiled, threads);
-      if (!answers.ok()) return answers.status();
-      return tiled.size() / t.ElapsedSeconds();
-    };
-    StatusOr<double> qps1 = measure(1);
-    StatusOr<double> qpsT = measure(args.query_threads);
-    if (!qps1.ok() || !qpsT.ok()) {
-      std::fprintf(stderr, "tso: throughput: %s\n",
-                   (!qps1.ok() ? qps1.status() : qpsT.status())
-                       .ToString()
-                       .c_str());
-      return 1;
-    }
-    std::printf(
-        "throughput: %zu queries | 1 thread %.0f qps | %u threads %.0f qps | "
-        "speedup %.2fx\n",
-        tiled.size(), *qps1, args.query_threads, *qpsT, *qpsT / *qps1);
-  }
-
-  if (args.reloads > 0) {
-    // The hot-reload demo: republish the same file repeatedly while reader
-    // threads hammer the engine. Every query must succeed — a failure (or a
-    // crash under a sanitizer) means the epoch protocol is broken.
-    const uint32_t readers = args.query_threads > 0 ? args.query_threads : 4;
-    std::atomic<bool> stop{false};
-    std::atomic<uint32_t> started{0};
-    std::atomic<uint64_t> served{0};
-    std::atomic<uint64_t> rejected{0};
-    std::atomic<uint64_t> failed{0};
-    std::vector<std::thread> hammer;
-    hammer.reserve(readers);
-    for (uint32_t r = 0; r < readers; ++r) {
-      hammer.emplace_back([&, r]() {
-        size_t i = static_cast<size_t>(r);
-        bool first = true;
-        while (!stop.load(std::memory_order_relaxed)) {
-          const auto& [s, t] = pairs[i % pairs.size()];
-          ++i;
-          const Status status = engine.Distance(s, t).status();
-          if (status.ok()) {
-            served.fetch_add(1, std::memory_order_relaxed);
-          } else if (status.code() == StatusCode::kDeadlineExceeded ||
-                     status.code() == StatusCode::kUnavailable) {
-            // Load management doing its job (--deadline-us/--max-inflight),
-            // not a reload-safety violation.
-            rejected.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            failed.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (first) {
-            first = false;
-            started.fetch_add(1, std::memory_order_release);
-          }
-        }
-      });
-    }
-    // Wait for every reader's first query so the reloads genuinely overlap
-    // in-flight reads instead of finishing before the threads are scheduled.
-    while (started.load(std::memory_order_acquire) < readers) {
-      std::this_thread::yield();
-    }
-    double total_ms = 0.0;
-    double max_ms = 0.0;
-    for (size_t i = 0; i < args.reloads; ++i) {
-      WallTimer reload_timer;
-      Status reloaded = engine.Load(args.oracle_path);
-      const double ms = reload_timer.ElapsedSeconds() * 1e3;
-      if (!reloaded.ok()) {
-        stop.store(true, std::memory_order_relaxed);
-        for (std::thread& th : hammer) th.join();
-        std::fprintf(stderr, "tso: reload %zu: %s\n", i,
-                     reloaded.ToString().c_str());
-        return 1;
-      }
-      total_ms += ms;
-      if (ms > max_ms) max_ms = ms;
-    }
-    stop.store(true, std::memory_order_relaxed);
-    for (std::thread& th : hammer) th.join();
-    std::printf(
-        "hot reload: %zu reloads under %u reader threads | mean %.3f ms, "
-        "max %.3f ms | %llu queries served, %llu rejected, %llu failed\n",
-        args.reloads, readers, total_ms / args.reloads, max_ms,
-        static_cast<unsigned long long>(served.load()),
-        static_cast<unsigned long long>(rejected.load()),
-        static_cast<unsigned long long>(failed.load()));
-    if (failed.load() != 0) {
-      std::fprintf(stderr, "tso: hot reload FAILED: queries failed during "
-                   "republish\n");
-      return 1;
-    }
-  }
-  const ServeEngine::Stats final_stats = engine.stats();
-  std::printf(
-      "counters: queries=%llu shed=%llu deadline_exceeded=%llu reloads=%llu "
-      "load_failures=%llu load_retries=%llu degraded_shards=%u health=%s\n",
-      static_cast<unsigned long long>(final_stats.queries),
-      static_cast<unsigned long long>(final_stats.shed),
-      static_cast<unsigned long long>(final_stats.deadline_exceeded),
-      static_cast<unsigned long long>(final_stats.reloads),
-      static_cast<unsigned long long>(final_stats.load_failures),
-      static_cast<unsigned long long>(final_stats.load_retries),
-      final_stats.degraded_shards, ServeHealthName(final_stats.health));
-  return 0;
-}
-
 /// Pack inspection: verify the pack frame (header, section CRCs), then
 /// recurse into each shard's own flat section table. Any corruption at
 /// either level exits non-zero. `deep` expands each shard's inner section
@@ -1808,142 +1318,12 @@ int CmdInspect(const Args& args) {
   return 0;
 }
 
-int CmdBench(const Args& args) {
-  if (args.bench_queries == 0) {
-    std::fprintf(stderr, "tso: --queries must be > 0\n");
-    return 2;
-  }
-  StatusOr<Dataset> ds = LoadOrSynthesize(args);
-  if (!ds.ok()) {
-    std::fprintf(stderr, "tso: dataset: %s\n", ds.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("bench dataset=%s N=%zu n=%zu eps=%.3g solver=%s\n",
-              ds->name.c_str(), ds->N(), ds->n(), args.epsilon,
-              args.solver.c_str());
-
-  SeBuildStats stats;
-  StatusOr<SeOracle> oracle = BuildOracle(args, *ds, &stats);
-  if (!oracle.ok()) {
-    std::fprintf(stderr, "tso: build: %s\n",
-                 oracle.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("build: %.3fs (tree %.3fs, enhanced %.3fs, pairs %.3fs, "
-              "threads %u), %zu ssad runs, %zu node pairs, %.1f KiB\n",
-              stats.total_seconds, stats.tree_seconds, stats.enhanced_seconds,
-              stats.pair_gen_seconds, stats.threads_used, stats.ssad_runs,
-              stats.node_pairs, oracle->SizeBytes() / 1024.0);
-
-  Rng rng(args.seed ^ 0x9e3779b97f4a7c15ULL);
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
-  pairs.reserve(args.bench_queries);
-  for (size_t i = 0; i < args.bench_queries; ++i) {
-    pairs.emplace_back(static_cast<uint32_t>(rng.Uniform(oracle->num_pois())),
-                       static_cast<uint32_t>(rng.Uniform(oracle->num_pois())));
-  }
-
-  WallTimer timer;
-  double checksum = 0.0;
-  for (const auto& [s, t] : pairs) {
-    StatusOr<double> d = oracle->Distance(s, t);
-    if (!d.ok()) {
-      std::fprintf(stderr, "tso: query %u,%u: %s\n", s, t,
-                   d.status().ToString().c_str());
-      return 1;
-    }
-    checksum += *d;
-  }
-  const double secs = timer.ElapsedSeconds();
-  std::printf("query: %zu queries in %.3fs (%.2f us/query, checksum %.3f)\n",
-              pairs.size(), secs, secs / pairs.size() * 1e6, checksum);
-
-  if (args.query_threads > 0) {
-    // Throughput mode: tile the pair list so each timed run is long enough
-    // for thread scaling to dominate spawn overhead, then compare 1 thread
-    // against T threads over identical work.
-    constexpr size_t kMinThroughputQueries = 200000;
-    std::vector<std::pair<uint32_t, uint32_t>> tiled = pairs;
-    while (tiled.size() < kMinThroughputQueries) {
-      tiled.insert(tiled.end(), pairs.begin(), pairs.end());
-    }
-    auto measure = [&](uint32_t threads) -> StatusOr<double> {
-      WallTimer t;
-      StatusOr<std::vector<double>> answers =
-          DistanceBatch(MakeSource(*oracle), tiled, threads);
-      if (!answers.ok()) return answers.status();
-      return tiled.size() / t.ElapsedSeconds();
-    };
-    StatusOr<double> qps1 = measure(1);
-    StatusOr<double> qpsT = measure(args.query_threads);
-    if (!qps1.ok() || !qpsT.ok()) {
-      std::fprintf(stderr, "tso: throughput: %s\n",
-                   (!qps1.ok() ? qps1.status() : qpsT.status())
-                       .ToString()
-                       .c_str());
-      return 1;
-    }
-    std::printf(
-        "throughput: %zu queries | 1 thread %.0f qps | %u threads %.0f qps | "
-        "speedup %.2fx\n",
-        tiled.size(), *qps1, args.query_threads, *qpsT, *qpsT / *qps1);
-  }
-
-  if (args.check) {
-    StatusOr<std::unique_ptr<GeodesicSolver>> exact =
-        MakeSolver(SolverKind::kMmpExact, *ds->mesh);
-    if (!exact.ok()) {
-      std::fprintf(stderr, "tso: check solver: %s\n",
-                   exact.status().ToString().c_str());
-      return 1;
-    }
-    const size_t n_check = pairs.size() < 32 ? pairs.size() : 32;
-    double max_rel = 0.0;
-    size_t n_compared = 0;
-    for (size_t i = 0; i < n_check; ++i) {
-      const auto& [s, t] = pairs[i];
-      if (s == t) continue;
-      StatusOr<double> approx = oracle->Distance(s, t);
-      StatusOr<double> truth =
-          (*exact)->PointToPoint(ds->pois[s], ds->pois[t]);
-      if (!approx.ok() || !truth.ok() || *truth <= 0) continue;
-      ++n_compared;
-      const double rel = std::abs(*approx - *truth) / *truth;
-      if (rel > max_rel) max_rel = rel;
-    }
-    if (n_compared == 0) {
-      std::fprintf(stderr,
-                   "tso: check FAILED: no comparable pairs (exact solver "
-                   "errored on all %zu sampled pairs?)\n",
-                   n_check);
-      return 1;
-    }
-    std::printf("check: max relative error over %zu pairs = %.4f (eps=%.3g)\n",
-                n_compared, max_rel, oracle->epsilon());
-    if (max_rel > oracle->epsilon() + 1e-9) {
-      std::fprintf(stderr, "tso: check FAILED: error exceeds epsilon\n");
-      return 1;
-    }
-  }
-  return 0;
-}
-
 int Main(int argc, char** argv) {
   if (argc < 2) {
     Usage();
     return 2;
   }
   const std::string cmd = argv[1];
-  Args args;
-  if (!ParseArgs(argc, argv, &args)) return 2;
-  if (cmd == "build-oracle") return CmdBuildOracle(args);
-  if (cmd == "pack") return CmdPack(args);
-  if (cmd == "query") return CmdQuery(args);
-  if (cmd == "serve") return CmdServe(args);
-  if (cmd == "client") return CmdClient(args);
-  if (cmd == "serve-bench") return CmdServeBench(args);
-  if (cmd == "inspect") return CmdInspect(args);
-  if (cmd == "bench") return CmdBench(args);
   if (cmd == "help" || cmd == "--help" || cmd == "-h") {
     Usage();
     return 0;
@@ -1951,6 +1331,20 @@ int Main(int argc, char** argv) {
   if (cmd == "version" || cmd == "--version") {
     std::printf("tso %s\n", kVersionString);
     return 0;
+  }
+  // The command is resolved before its flags, so a removed command is
+  // reported as such rather than as one of its old flags.
+  using Command = int (*)(const Args&);
+  const std::pair<const char*, Command> commands[] = {
+      {"build-oracle", CmdBuildOracle}, {"pack", CmdPack},
+      {"query", CmdQuery},              {"serve", CmdServe},
+      {"client", CmdClient},            {"inspect", CmdInspect},
+  };
+  for (const auto& [name, run] : commands) {
+    if (cmd != name) continue;
+    Args args;
+    if (!ParseArgs(argc, argv, &args)) return 2;
+    return run(args);
   }
   std::fprintf(stderr, "tso: unknown command '%s'\n", cmd.c_str());
   Usage();
