@@ -149,10 +149,12 @@ void MeasureLoad(const Dataset& ds, uint64_t seed) {
 
   const uintmax_t flat_bytes = std::filesystem::file_size(flat_path);
   std::filesystem::remove(flat_path);
-  // The pair index: records (with the empty slots) plus the pilots.
+  // The pair index: keys and distances (with the empty slots) plus the
+  // pilots.
   const NodePairSetView& pairs = oracle->pair_set();
   const double bytes_per_pair =
-      static_cast<double>(pairs.records().size_bytes() +
+      static_cast<double>(pairs.keys().size_bytes() +
+                          pairs.distances().size_bytes() +
                           pairs.hash().pilots().size_bytes()) /
       static_cast<double>(std::max<size_t>(1, pairs.size()));
 

@@ -122,14 +122,15 @@ void BM_OracleQueryNaive(benchmark::State& state) {
 BENCHMARK(BM_OracleQueryNaive);
 
 void BM_NodePairLookup(benchmark::State& state) {
-  // 100k pairs; probes hit and miss about equally (random b).
+  // 100k pairs over 100k ids (8-byte keys); probes hit and miss about
+  // equally (random b).
   static const NodePairSet* set = [] {
     std::vector<NodePair> pairs;
     Rng rng(13);
     for (uint32_t a = 0; a < 100000; ++a) {
       pairs.push_back({a, static_cast<uint32_t>(rng.Uniform(2)), 1.0 * a});
     }
-    StatusOr<NodePairSet> built = NodePairSet::FromPairs(pairs);
+    StatusOr<NodePairSet> built = NodePairSet::FromPairs(pairs, 100000);
     TSO_CHECK(built.ok());
     return new NodePairSet(std::move(*built));
   }();

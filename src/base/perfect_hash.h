@@ -31,8 +31,9 @@ inline uint64_t FastRange(uint64_t hash, uint64_t n) {
 ///
 /// The table stores no keys: it maps each of the n build keys to a distinct
 /// slot in [0, num_slots), and any other key to some slot. Callers store
-/// their records at the slots and compare the probed record's own key
-/// (NodePairSetView::Lookup), so one probe reads one pilot and one record.
+/// their keys at the slots, with any payload in a parallel array, and
+/// compare the probed slot's own key (NodePairSetView::Lookup), so a miss
+/// reads one pilot and one key.
 ///
 /// The shape is validated once by whoever hands in the spans (num_slots >=
 /// 1, at least one pilot); after that Slot() is branch-free and never
@@ -138,6 +139,40 @@ class PerfectHash {
 /// node-pair hashing. The pair is ordered: Key(a, b) != Key(b, a).
 inline uint64_t PairKey(uint32_t a, uint32_t b) {
   return (static_cast<uint64_t>(a) << 32) | b;
+}
+
+/// Stored pair keys come in two widths, fixed per key set by its id space.
+/// With at most kNarrowPairKeyIds ids (every id <= 0xFFFE) a key is the
+/// 32-bit NarrowPairKey(a, b); larger id spaces store the 64-bit
+/// PairKey(a, b). Either way the hash is computed on PairKey(a, b), so the
+/// slot order does not depend on the width. An empty slot holds the
+/// all-ones key of its width, which no stored pair has and the *PairKeyIs
+/// compares never match.
+inline constexpr uint32_t kNarrowPairKeyIds = 0xFFFF;
+inline constexpr uint32_t kEmptyNarrowPairKey = 0xFFFFFFFFu;
+inline constexpr uint64_t kEmptyWidePairKey = ~uint64_t{0};
+
+/// True iff a key set over `num_ids` ids stores 4-byte keys.
+inline constexpr bool NarrowPairKeys(uint64_t num_ids) {
+  return num_ids <= kNarrowPairKeyIds;
+}
+
+/// The 32-bit key of (a, b); both ids must be below kNarrowPairKeyIds.
+inline uint32_t NarrowPairKey(uint32_t a, uint32_t b) {
+  return (a << 16) | b;
+}
+
+/// True iff the stored narrow `key` is (a, b). Both 16-bit fields are
+/// compared on their own, so an id >= 2^16 never aliases a key through a
+/// truncated shift.
+inline bool NarrowPairKeyIs(uint32_t key, uint32_t a, uint32_t b) {
+  return key != kEmptyNarrowPairKey && (key >> 16) == a &&
+         (key & 0xFFFFu) == b;
+}
+
+/// True iff the stored wide `key` is (a, b).
+inline bool WidePairKeyIs(uint64_t key, uint32_t a, uint32_t b) {
+  return key != kEmptyWidePairKey && key == PairKey(a, b);
 }
 
 }  // namespace tso

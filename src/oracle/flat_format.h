@@ -28,14 +28,16 @@ static_assert(std::endian::native == std::endian::little,
 
 inline constexpr char kFlatMagic[8] = {'T', 'S', 'O', 'F',
                                        'L', 'A', 'T', '\n'};
-/// Version 3 stores each unordered node pair once, in its canonical
-/// orientation a <= b, in the slot order of a pilot-table perfect hash
-/// (base/perfect_hash.h). Version 2 had the same sections but stored both
-/// orientations, so a v2 reader would miss the probes a v3 file no longer
-/// answers in reverse. Version 1 (minors 0 and 1) also stored both, indexed
-/// by a separate FKS table. Readers open v1 and v2 files by converting them
-/// to v3 in memory (OracleView::FromBuffer).
-inline constexpr uint32_t kFlatFormatVersion = 3;
+/// Version 4 stores the node pair set as two sections in the slot order of
+/// a pilot-table perfect hash (base/perfect_hash.h): one key per slot, 4
+/// bytes wide when the tree has at most kNarrowPairKeyIds nodes and 8
+/// otherwise, and one f64 distance per slot. Version 3 stored the same
+/// pairs, one canonical record a <= b per unordered pair, as 16-byte
+/// NodePair records. Version 2 had the v3 sections but stored both
+/// orientations. Version 1 (minors 0 and 1) also stored both, indexed by a
+/// separate FKS table. Readers open v1-v3 files by converting them to v4 in
+/// memory (OracleView::FromBuffer).
+inline constexpr uint32_t kFlatFormatVersion = 4;
 /// Layout revision within kFlatFormatVersion. Readers accept any minor <=
 /// the build's kFlatFormatMinorVersion; writers always emit the newest.
 /// See docs/oracle-format.md for the versioning policy.
@@ -48,16 +50,16 @@ inline constexpr uint32_t kFlatEndianTag = 0x01020304u;
 inline constexpr uint64_t kFlatSectionAlign = 64;
 
 /// Section ids. The loader requires exactly the set of the file's version,
-/// each exactly once, in the order of that version (kFlatSectionOrderV2 for
-/// v2 and v3 / the v1 orders in oracle_view.cc).
+/// each exactly once, in the order of that version (kFlatSectionOrderV4,
+/// kFlatSectionOrderV2 for v2 and v3, the v1 orders in oracle_view.cc).
 enum FlatSectionId : uint32_t {
   kFlatMeta = 1,       // FlatMeta × 1
   kFlatPois = 2,       // SurfacePoint × num_pois
   kFlatTreeNodes = 3,  // CompressedTreeNode × num_tree_nodes
   kFlatLeafOfPoi = 4,  // uint32 × num_pois
-  // v2/v3: NodePair × hash_num_slots, in hash-slot order (empty slots hold
-  // kEmptyPairSlot; v3 records have a <= b). v1: NodePair × num_pairs,
-  // sorted by (a, b).
+  // v1-v3 only, read for conversion. v2/v3: NodePair × hash_num_slots, in
+  // hash-slot order (empty slots hold kEmptyPairSlot; v3 records have
+  // a <= b). v1: NodePair × num_pairs, sorted by (a, b).
   kFlatPairs = 5,
   // v1 only: the FKS tables, skipped by the v1 converter.
   kFlatHashBucketMul = 6,
@@ -66,8 +68,18 @@ enum FlatSectionId : uint32_t {
   kFlatHashSlotValue = 9,
   kFlatHashSlotUsed = 10,
   kFlatAncestors = 11,  // uint32 × (num_pois × ancestor_stride); v1.1 and up
-  kFlatPilots = 12,     // v2/v3: uint16 × hash_num_buckets
+  kFlatPilots = 12,     // v2 and up: uint16 × hash_num_buckets
+  // v4: uint32 (a << 16 | b) or uint64 PairKey(a, b) × hash_num_slots, in
+  // hash-slot order; 4-byte keys iff NarrowPairKeys(num_tree_nodes).
+  kFlatPairKeys = 13,
+  kFlatPairDistances = 14,  // v4: double × hash_num_slots, same order
 };
+/// The sections of a v4 file, in file order.
+inline constexpr FlatSectionId kFlatSectionOrderV4[] = {
+    kFlatMeta,     kFlatPois,          kFlatTreeNodes, kFlatLeafOfPoi,
+    kFlatPilots,   kFlatPairKeys,      kFlatPairDistances,
+    kFlatAncestors};
+inline constexpr uint32_t kFlatSectionCountV4 = std::size(kFlatSectionOrderV4);
 /// The sections of a v2 or v3 file, in file order.
 inline constexpr FlatSectionId kFlatSectionOrderV2[] = {
     kFlatMeta,   kFlatPois,  kFlatTreeNodes, kFlatLeafOfPoi,
@@ -95,9 +107,9 @@ const char* FlatSectionName(uint32_t id);
 struct FlatHeader {
   char magic[8];        // kFlatMagic
   uint32_t endian_tag;  // kFlatEndianTag, as written by the producer
-  uint32_t version;     // kFlatFormatVersion (1, 2: converted at open)
+  uint32_t version;     // kFlatFormatVersion (1-3: converted at open)
   uint64_t file_size;   // total bytes: cheap truncation detection
-  uint32_t section_count;      // kFlatSectionCountV2 (v1: 10 or 11)
+  uint32_t section_count;      // kFlatSectionCountV4 (v1: 10/11, v2/v3: 7)
   uint32_t section_table_crc;  // CRC32 of the section-table bytes
   // Carved out of the original reserved0 (minor-0 writers zeroed it, which
   // reads back as minor_version == 0 — exactly right).
@@ -135,7 +147,7 @@ struct FlatMeta {
   // the FKS multiplier, key count and bucket count; the converter ignores
   // them.
   uint64_t hash_seed;
-  uint64_t hash_num_slots;    // kFlatPairs record count
+  uint64_t hash_num_slots;    // key and distance count (v2/v3: records)
   uint32_t hash_num_buckets;  // kFlatPilots count
   // Row stride, in uint32 elements, of the kFlatAncestors section:
   // FlatAncestorStride(tree_height), or 0 in a v1.0 file (no ancestors).
@@ -151,6 +163,13 @@ static_assert(sizeof(SurfacePoint) == 32 && alignof(SurfacePoint) == 8,
               "SurfacePoint is mapped in place by the flat oracle format");
 static_assert(sizeof(CompressedTreeNode) == 32);
 static_assert(sizeof(NodePair) == 16);
+
+/// The record a v2 or v3 file stores in a hash slot that no pair maps to.
+/// kInvalidId is never a tree node id, so no conversion keeps it.
+inline constexpr NodePair kEmptyPairSlot = {kInvalidId, kInvalidId, 0.0};
+inline bool IsEmptyPairSlot(const NodePair& r) {
+  return r.a == kInvalidId && r.b == kInvalidId;
+}
 
 }  // namespace tso
 

@@ -81,23 +81,32 @@ Status ValidateEpsilon(double epsilon) {
   return Status::Ok();
 }
 
-StatusOr<NodePairSet> NodePairSet::FromPairs(std::span<const NodePair> pairs) {
+StatusOr<NodePairSet> NodePairSet::FromPairs(std::span<const NodePair> pairs,
+                                             uint32_t num_ids) {
   std::vector<uint64_t> keys;
   keys.reserve(pairs.size());
   for (const NodePair& pair : pairs) {
-    if (IsEmptyPairSlot(pair)) {
-      return Status::InvalidArgument(
-          "node pair set: (kInvalidId, kInvalidId) is the reserved empty-slot "
-          "key");
+    if (pair.a >= num_ids || pair.b >= num_ids) {
+      return Status::InvalidArgument("node pair set: node id out of range");
     }
     keys.push_back(PairKey(pair.a, pair.b));
   }
   StatusOr<PerfectHash> hash = PerfectHash::Build(keys);
   if (!hash.ok()) return hash.status();
+  const uint64_t num_slots = hash->num_slots();
+  const bool narrow = NarrowPairKeys(num_ids);
   NodePairSet set;
-  set.records_.assign(hash->num_slots(), kEmptyPairSlot);
+  set.narrow_keys_.assign(narrow ? num_slots : 0, kEmptyNarrowPairKey);
+  set.wide_keys_.assign(narrow ? 0 : num_slots, kEmptyWidePairKey);
+  set.distances_.assign(num_slots, 0.0);
   for (size_t i = 0; i < pairs.size(); ++i) {
-    set.records_[hash->Slot(keys[i])] = pairs[i];
+    const uint64_t slot = hash->Slot(keys[i]);
+    if (narrow) {
+      set.narrow_keys_[slot] = NarrowPairKey(pairs[i].a, pairs[i].b);
+    } else {
+      set.wide_keys_[slot] = keys[i];
+    }
+    set.distances_[slot] = pairs[i].distance;
   }
   set.hash_ = std::move(*hash);
   set.num_pairs_ = pairs.size();
@@ -122,7 +131,7 @@ StatusOr<NodePairSet> NodePairSet::Generate(
     stats->pairs_final = pairs.size();
     stats->distance_evals = walk.dist_evals;
   }
-  return FromPairs(pairs);
+  return FromPairs(pairs, static_cast<uint32_t>(tree.num_nodes()));
 }
 
 StatusOr<NodePairSet> NodePairSet::Generate(
@@ -198,7 +207,7 @@ StatusOr<NodePairSet> NodePairSet::Generate(
     stats->pairs_final = done.size();
     stats->distance_evals = dist_evals;
   }
-  return FromPairs(done);
+  return FromPairs(done, static_cast<uint32_t>(tree.num_nodes()));
 }
 
 }  // namespace tso

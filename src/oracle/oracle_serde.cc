@@ -69,22 +69,24 @@ std::string SerializeSeOracleFlat(double epsilon,
               ancestors.begin() + p * meta.ancestor_stride);
   }
 
-  // In kFlatSectionOrderV2 order.
-  const SectionDesc sections[kFlatSectionCountV2] = {
+  // In kFlatSectionOrderV4 order.
+  const SectionDesc sections[kFlatSectionCountV4] = {
       {kFlatMeta, &meta, sizeof(meta), 1},
       PodSection(kFlatPois, pois),
       PodSection(kFlatTreeNodes, tree.nodes()),
       PodSection(kFlatLeafOfPoi, tree.leaf_of_poi_map()),
       PodSection(kFlatPilots, hash.pilots()),
-      PodSection(kFlatPairs, pairs.records()),
+      {kFlatPairKeys, pairs.keys().data(), pairs.keys().size(),
+       pairs.num_slots()},
+      PodSection(kFlatPairDistances, pairs.distances()),
       PodSection(kFlatAncestors, std::span<const uint32_t>(ancestors)),
   };
 
   // Lay out: header, section table, then 64-byte-aligned sections.
-  FlatSectionEntry table[kFlatSectionCountV2] = {};
+  FlatSectionEntry table[kFlatSectionCountV4] = {};
   uint64_t cursor =
-      sizeof(FlatHeader) + kFlatSectionCountV2 * sizeof(FlatSectionEntry);
-  for (uint32_t i = 0; i < kFlatSectionCountV2; ++i) {
+      sizeof(FlatHeader) + kFlatSectionCountV4 * sizeof(FlatSectionEntry);
+  for (uint32_t i = 0; i < kFlatSectionCountV4; ++i) {
     const SectionDesc& s = sections[i];
     table[i].id = s.id;
     table[i].offset = AlignUp(cursor, kFlatSectionAlign);
@@ -101,14 +103,14 @@ std::string SerializeSeOracleFlat(double epsilon,
   header.version = kFlatFormatVersion;
   header.minor_version = kFlatFormatMinorVersion;
   header.file_size = file_size;
-  header.section_count = kFlatSectionCountV2;
+  header.section_count = kFlatSectionCountV4;
   header.section_table_crc = Crc32(table, sizeof(table));
 
   std::string out;
   out.reserve(file_size);
   out.append(reinterpret_cast<const char*>(&header), sizeof(header));
   out.append(reinterpret_cast<const char*>(table), sizeof(table));
-  for (uint32_t i = 0; i < kFlatSectionCountV2; ++i) {
+  for (uint32_t i = 0; i < kFlatSectionCountV4; ++i) {
     out.append(table[i].offset - out.size(), '\0');  // alignment padding
     out.append(static_cast<const char*>(sections[i].data),
                sections[i].size);

@@ -70,10 +70,10 @@ Status VerifySectionChecksums(const FlatReader& reader,
 /// Structural validation of the tree sections: after this passes, every
 /// index a tree walk can follow stays in bounds, and every parent walk
 /// terminates. O(n) with n = POIs, the small part of the file. The pair
-/// records need no scan: a probe reads the record at FastRange(h, m) < m
-/// and compares its (a, b), so corrupt records can only make probes miss
-/// or return a wrong stored double, never read out of bounds. That keeps
-/// Open at O(header + n) rather than O(file size); enable
+/// sections need no scan: a probe reads the key and distance at
+/// FastRange(h, m) < m and compares the key, so corrupt pairs can only make
+/// probes miss or return a wrong stored double, never read out of bounds.
+/// That keeps Open at O(header + n) rather than O(file size); enable
 /// Options::verify_checksums to detect (not just survive) corruption.
 Status ValidateTree(const FlatMeta& meta,
                     std::span<const CompressedTreeNode> nodes,
@@ -125,7 +125,7 @@ Status ValidateTree(const FlatMeta& meta,
   return Status::Ok();
 }
 
-/// The precomputed ancestor table (v1.1, v2 and v3) is read unguarded on
+/// The precomputed ancestor table (v1.1 and up) is read unguarded on
 /// the hot path — its rows feed tree.node() in the candidate passes — so
 /// every row must equal the leaf-to-root walk it caches, and the padding
 /// must be kInvalidId (i.e. never a dereferenceable id). O(n·h), the same
@@ -151,14 +151,15 @@ Status ValidateAncestorRows(const CompressedTreeView& tree,
   return Status::Ok();
 }
 
-/// The pair set of a pre-v3 file, which stored both orientations of every
-/// pair: keeps the a <= b record of each unordered pair, or the flipped
-/// reverse record where only that one is stored, and indexes them. The kept
-/// records are the ones a v3 build emits, bit for bit, so a converted file
-/// equals a fresh build. `records` may hold empty slots (v2); the others
-/// must number `num_pairs`.
+/// The pair set of a pre-v4 file, indexed as a v4 build indexes it. v1 and
+/// v2 files stored both orientations of every pair: keeps the a <= b record
+/// of each unordered pair, or the flipped reverse record where only that
+/// one is stored. v3 records already are canonical and all kept. The kept
+/// records are the ones a fresh build emits, bit for bit, so a converted
+/// file equals a fresh build. `records` may hold empty slots (v2, v3); the
+/// others must number `num_pairs`, and every id must be below `num_ids`.
 StatusOr<NodePairSet> CanonicalPairSet(std::span<const NodePair> records,
-                                       uint64_t num_pairs) {
+                                       uint64_t num_pairs, uint32_t num_ids) {
   std::vector<uint64_t> forward;
   uint64_t stored = 0;
   for (const NodePair& r : records) {
@@ -181,7 +182,7 @@ StatusOr<NodePairSet> CanonicalPairSet(std::span<const NodePair> records,
       kept.push_back({r.b, r.a, r.distance});
     }
   }
-  return NodePairSet::FromPairs(kept);
+  return NodePairSet::FromPairs(kept, num_ids);
 }
 
 }  // namespace
@@ -212,6 +213,10 @@ const char* FlatSectionName(uint32_t id) {
       return "ancestors";
     case kFlatPilots:
       return "pilots";
+    case kFlatPairKeys:
+      return "pair-keys";
+    case kFlatPairDistances:
+      return "pair-distances";
     default:
       return "unknown";
   }
@@ -237,14 +242,15 @@ StatusOr<FlatFileInfo> ReadFlatFileInfo(std::string_view buffer) {
         "flat oracle: endianness mismatch (file written on a foreign "
         "architecture)");
   }
-  // v1 (minors 0 and 1) and v2 (minor 0) are read for conversion; v3 up
-  // to this build's minor.
+  // v1 (minors 0 and 1), v2 and v3 (minor 0) are read for conversion; v4
+  // up to this build's minor.
   if (h.version < 1 || h.version > kFlatFormatVersion) {
     return Status::InvalidArgument("flat oracle: unsupported format version");
   }
-  const uint32_t max_minor = h.version == 1   ? 1
-                             : h.version == 2 ? 0
-                                              : kFlatFormatMinorVersion;
+  const uint32_t max_minor = h.version == 1 ? 1
+                             : h.version < kFlatFormatVersion
+                                 ? 0
+                                 : kFlatFormatMinorVersion;
   if (h.minor_version > max_minor) {
     return Status::InvalidArgument(
         "flat oracle: unsupported minor version (file written by a newer "
@@ -258,7 +264,9 @@ StatusOr<FlatFileInfo> ReadFlatFileInfo(std::string_view buffer) {
           ? std::span<const FlatSectionId>(kSectionOrderV1).first(
                 h.minor_version >= 1 ? kFlatSectionCountMinor1
                                      : kFlatSectionCount)
-          : std::span<const FlatSectionId>(kFlatSectionOrderV2);
+      : h.version < kFlatFormatVersion
+          ? std::span<const FlatSectionId>(kFlatSectionOrderV2)
+          : std::span<const FlatSectionId>(kFlatSectionOrderV4);
   if (h.section_count != order.size()) {
     return Status::InvalidArgument("flat oracle: wrong section count");
   }
@@ -349,13 +357,15 @@ StatusOr<OracleView> OracleView::FromBuffer(std::string_view buffer,
   }
 
   if (version < kFlatFormatVersion) {
-    // v1 (pairs sorted by (a, b) beside FKS tables, which are not read) and
-    // v2 (pairs in pilot-hash order) store both orientations of every pair.
-    // One path converts both: keep the canonical records, re-index them and
-    // serve the re-serialized v3 bytes, once per open.
+    // v1 (pairs sorted by (a, b) beside FKS tables, which are not read), v2
+    // and v3 (pairs in pilot-hash order) store 16-byte records. One path
+    // converts them all: keep the canonical records, re-index them and
+    // serve the re-serialized v4 bytes, once per open.
     std::span<const NodePair> records;
     TSO_RETURN_IF_ERROR(ViewSection(reader, *info, kFlatPairs, &records));
-    StatusOr<NodePairSet> set = CanonicalPairSet(records, meta.num_pairs);
+    StatusOr<NodePairSet> set =
+        CanonicalPairSet(records, meta.num_pairs,
+                         static_cast<uint32_t>(meta.num_tree_nodes));
     if (!set.ok()) {
       return Status::InvalidArgument("flat oracle v" +
                                      std::to_string(version) +
@@ -369,21 +379,33 @@ StatusOr<OracleView> OracleView::FromBuffer(std::string_view buffer,
     return converted;
   }
 
-  // The pilot hash: Slot() is < records.size() for every key once the
-  // shape below holds, so probes need no per-record guard.
+  // The pilot hash: Slot() is < num_slots for every key once the shape
+  // below holds, so probes need no per-slot guard. The key width follows
+  // from the tree size, so a key section of the other width fails the
+  // size check of ViewSection.
   std::span<const uint16_t> pilots;
-  std::span<const NodePair> records;
+  std::span<const double> distances;
+  std::span<const uint32_t> narrow_keys;
+  std::span<const uint64_t> wide_keys;
   TSO_RETURN_IF_ERROR(ViewSection(reader, *info, kFlatPilots, &pilots));
-  TSO_RETURN_IF_ERROR(ViewSection(reader, *info, kFlatPairs, &records));
+  const bool narrow = NarrowPairKeys(meta.num_tree_nodes);
+  TSO_RETURN_IF_ERROR(
+      narrow ? ViewSection(reader, *info, kFlatPairKeys, &narrow_keys)
+             : ViewSection(reader, *info, kFlatPairKeys, &wide_keys));
+  TSO_RETURN_IF_ERROR(
+      ViewSection(reader, *info, kFlatPairDistances, &distances));
+  const uint64_t num_keys = narrow ? narrow_keys.size() : wide_keys.size();
   if (pilots.empty() || pilots.size() != meta.hash_num_buckets ||
-      records.empty() || records.size() != meta.hash_num_slots ||
-      records.size() < meta.num_pairs) {
+      distances.empty() || distances.size() != meta.hash_num_slots ||
+      num_keys != meta.hash_num_slots ||
+      distances.size() < meta.num_pairs) {
     return Status::InvalidArgument(
         "flat oracle: pilot hash shape inconsistent with meta");
   }
-  view.pairs_ = NodePairSetView(
-      records, PerfectHashView(meta.hash_seed, records.size(), pilots),
-      meta.num_pairs);
+  const PerfectHashView hash(meta.hash_seed, distances.size(), pilots);
+  view.pairs_ =
+      narrow ? NodePairSetView(narrow_keys, distances, hash, meta.num_pairs)
+             : NodePairSetView(wide_keys, distances, hash, meta.num_pairs);
   view.stored_num_pairs_ = meta.num_pairs;
   return view;
 }
@@ -393,7 +415,7 @@ StatusOr<OracleView> OracleView::FromBytes(std::string bytes,
   auto owned = std::make_shared<const std::string>(std::move(bytes));
   StatusOr<OracleView> view = FromBuffer(*owned, options);
   if (!view.ok()) return view.status();
-  // A converted view already owns its v3 bytes.
+  // A converted view already owns its v4 bytes.
   if (view->converted_from() == 0) view->owner_ = std::move(owned);
   return view;
 }

@@ -44,8 +44,8 @@ class OracleView {
   };
 
   /// Opens a flat oracle over caller-owned bytes (`buffer` must outlive the
-  /// view and every result obtained through it). A v1 or v2 file is
-  /// converted to v3 at open (O(pairs log pairs)); the view then owns the
+  /// view and every result obtained through it). A v1, v2 or v3 file is
+  /// converted to v4 at open (O(pairs log pairs)); the view then owns the
   /// converted bytes and does not reference `buffer` (see converted_from()).
   static StatusOr<OracleView> FromBuffer(std::string_view buffer,
                                          const Options& options);
@@ -108,15 +108,16 @@ class OracleView {
   /// heap-resident.
   size_t SizeBytes() const { return buffer_.size(); }
 
-  /// The raw flat-format bytes backing this view (v3 bytes, also for a
-  /// converted v1 or v2 file).
+  /// The raw flat-format bytes backing this view (v4 bytes, also for a
+  /// converted v1-v3 file).
   std::string_view buffer() const { return buffer_; }
 
-  /// The format version of the bytes opened (1 or 2) when they were
-  /// converted to an in-memory v3 copy at open; 0 when served in place.
+  /// The format version of the bytes opened (1, 2 or 3) when they were
+  /// converted to an in-memory v4 copy at open; 0 when served in place.
   uint32_t converted_from() const { return converted_from_; }
   /// The pair count the opened file records: pair_set().size(), except for
-  /// a converted file, which stored both orientations of its pairs.
+  /// a converted v1 or v2 file, which stored both orientations of its
+  /// pairs.
   uint64_t stored_num_pairs() const { return stored_num_pairs_; }
 
  private:

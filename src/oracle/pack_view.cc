@@ -126,7 +126,8 @@ StatusOr<std::string> SerializeOraclePack(const OracleView& oracle,
   for (uint32_t s = 0; s < num_shards; ++s) {
     TSO_FAILPOINT("pack.write.section");
     num_pairs += shard_pairs[s].size();
-    StatusOr<NodePairSet> set = NodePairSet::FromPairs(shard_pairs[s]);
+    StatusOr<NodePairSet> set = NodePairSet::FromPairs(
+        shard_pairs[s], static_cast<uint32_t>(tree.num_nodes()));
     if (!set.ok()) return set.status();
     shard_blobs.push_back(SerializeSeOracleFlat(
         oracle.epsilon(), oracle.pois(), tree, set->view()));

@@ -132,7 +132,9 @@ Status ShardEnhancedWork(
 /// Build-time enhanced-edge index (§3.5 Steps 2–3): for each pair of
 /// same-layer partition-tree nodes with d(c_O, c_O') <= l·r_O (l = 8/ε+10),
 /// the exact center distance, as a NodePair of ordered original-tree node
-/// ids, indexed by the same pilot hash as the oracle's own pair set.
+/// ids, indexed by the same pilot hash as the oracle's own pair set. Its id
+/// space is the original tree, which is larger than the compressed one, so
+/// its keys are 8 bytes wide once that tree has more than 65,535 nodes.
 StatusOr<NodePairSet> BuildEnhancedEdges(
     const PartitionTree& tree, const std::vector<SurfacePoint>& pois,
     GeodesicSolver& solver, const SeOracleOptions& options,
@@ -304,7 +306,8 @@ StatusOr<NodePairSet> BuildEnhancedEdges(
         &entries));
   }
 
-  return NodePairSet::FromPairs(entries);
+  return NodePairSet::FromPairs(entries,
+                                static_cast<uint32_t>(tree.num_nodes()));
 }
 
 }  // namespace

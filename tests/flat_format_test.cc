@@ -19,6 +19,7 @@
 #include "oracle/oracle_view.h"
 #include "query/batch.h"
 #include "terrain/dataset.h"
+#include "flat_reseal.h"
 
 namespace tso {
 namespace {
@@ -55,7 +56,7 @@ TEST(FlatFormat, HeaderAndSectionTableWellFormed) {
   EXPECT_EQ(info->header.version, kFlatFormatVersion);
   EXPECT_EQ(info->header.file_size, fx.blob.size());
   EXPECT_EQ(info->header.minor_version, kFlatFormatMinorVersion);
-  ASSERT_EQ(info->sections.size(), kFlatSectionCountV2);
+  ASSERT_EQ(info->sections.size(), kFlatSectionCountV4);
   uint64_t prev_end = 0;
   for (const FlatSectionEntry& e : info->sections) {
     EXPECT_EQ(e.offset % kFlatSectionAlign, 0u) << FlatSectionName(e.id);
@@ -314,6 +315,33 @@ TEST(FlatFormat, PilotHashShapeMismatchRejected) {
         << view.status().ToString();
   }
   EXPECT_TRUE(OracleView::FromBuffer(fx.blob).ok());
+}
+
+TEST(FlatFormat, PairSectionCountMismatchRejected) {
+  // The key and distance sections must each hold hash_num_slots entries:
+  // a probe reads both at a slot < hash_num_slots. A section table that
+  // drops the last key or the last distance (size and count alike, with
+  // every checksum resealed) must fail the open, even with checksums on.
+  FlatFixture& fx = Fixture();
+  StatusOr<FlatFileInfo> info = ReadFlatFileInfo(fx.blob);
+  ASSERT_TRUE(info.ok());
+  for (uint32_t id : {kFlatPairKeys, kFlatPairDistances}) {
+    std::string bad = fx.blob;
+    for (size_t i = 0; i < info->sections.size(); ++i) {
+      FlatSectionEntry e = info->sections[i];
+      if (e.id != id) continue;
+      e.size -= e.size / e.count;
+      e.count -= 1;
+      std::memcpy(bad.data() + sizeof(FlatHeader) + i * sizeof(e), &e,
+                  sizeof(e));
+    }
+    ResealFlatChecksums(&bad);
+    StatusOr<OracleView> view =
+        OracleView::FromBuffer(bad, {.verify_checksums = true});
+    ASSERT_FALSE(view.ok()) << FlatSectionName(id);
+    EXPECT_EQ(view.status().code(), StatusCode::kInvalidArgument)
+        << view.status().ToString();
+  }
 }
 
 TEST(FlatFormat, HeaderCorruptionRejected) {

@@ -6,7 +6,7 @@
 // comparisons are exact on every platform. The CI `format-stability` job
 // runs this suite as a blocking gate.
 //
-// Four flat goldens hold the same oracle:
+// Five flat goldens hold the same oracle:
 //   oracle-v1.tsoflat    v1.0 (10 sections, FKS hash, no ancestor table) —
 //     generated once with `tso build-oracle --dataset sf-small
 //     --vertices 150 --pois 12 --solver dijkstra --epsilon 0.25 --seed 7`
@@ -16,19 +16,24 @@
 //     order, both orientations of every pair) — the same oracle
 //     re-serialized by the v2 writer.
 //   oracle-v3.tsoflat    v3.0 (the v2 sections, one canonical record a <= b
-//     per unordered pair) — the v2 golden opened by the current reader,
-//     which converts it, and written out as view.buffer(); no FP.
-// The v1 and v2 goldens are the backward-compatibility gate: current
-// readers must keep opening and answering from them, by converting to v3
-// at open. The v3 golden is the byte-identity gate for what the writer
-// emits today.
+//     per unordered pair) — the v2 golden opened by the v3 reader, which
+//     converted it, and written out as view.buffer(); no FP.
+//   oracle-v4.tsoflat    v4.0 (the records split into a 4-byte key section
+//     and an 8-byte distance section, same slot order) — the v3 golden
+//     opened by the current reader, which converts it, and written out as
+//     view.buffer(); no FP.
+// The v1-v3 goldens are the backward-compatibility gate: current readers
+// must keep opening and answering from them, by converting to v4 at open.
+// The v4 golden is the byte-identity gate for what the writer emits today.
 
 #include <cmath>
 #include <cstddef>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -80,6 +85,9 @@ std::string GoldenFlatV2() {
 std::string GoldenFlatV3() {
   return ReadFile(std::string(TSO_GOLDEN_DIR) + "/oracle-v3.tsoflat");
 }
+std::string GoldenFlatV4() {
+  return ReadFile(std::string(TSO_GOLDEN_DIR) + "/oracle-v4.tsoflat");
+}
 
 /// 144 ordered records before v3 (12 self pairs, both orientations of 66
 /// others); 78 canonical records after.
@@ -88,14 +96,16 @@ void ExpectGoldenShape(const OracleView& view) {
   EXPECT_DOUBLE_EQ(view.epsilon(), 0.25);
   EXPECT_EQ(view.height(), 3);
   EXPECT_EQ(view.pair_set().size(), 78u);
-  EXPECT_EQ(view.stored_num_pairs(), view.converted_from() != 0 ? 144u : 78u);
+  const bool both_orientations =
+      view.converted_from() == 1 || view.converted_from() == 2;
+  EXPECT_EQ(view.stored_num_pairs(), both_orientations ? 144u : 78u);
   EXPECT_TRUE(view.tree().CheckInvariants().ok());
   for (const NodePair& p : view.pair_set().pairs()) EXPECT_LE(p.a, p.b);
 }
 
 TEST(FormatStability, GoldenMinor0StillOpensAndValidates) {
   // The backward-compat contract: a v1.0 file, written before the ancestor
-  // table existed, keeps opening. It is converted to v2 at open, and v2
+  // table existed, keeps opening. It is converted to v4 at open, and v4
   // always carries the table.
   const std::string blob = GoldenFlatMinor0();
   ASSERT_FALSE(blob.empty());
@@ -129,7 +139,7 @@ TEST(FormatStability, GoldenMinor1OpensAndValidates) {
 }
 
 TEST(FormatStability, GoldenV2ConvertsAtOpen) {
-  // A v2 file stores both orientations of every pair; it converts to v3 at
+  // A v2 file stores both orientations of every pair; it converts to v4 at
   // open by keeping the a <= b records, with no FP work.
   const std::string blob = GoldenFlatV2();
   ASSERT_FALSE(blob.empty());
@@ -142,22 +152,40 @@ TEST(FormatStability, GoldenV2ConvertsAtOpen) {
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   EXPECT_EQ(view->converted_from(), 2u);
   ExpectGoldenShape(*view);
-  EXPECT_EQ(view->buffer(), GoldenFlatV3());
+  EXPECT_EQ(view->buffer(), GoldenFlatV4());
 }
 
-TEST(FormatStability, GoldenV3OpensZeroCopyAndAnswersLikeV1) {
+TEST(FormatStability, GoldenV3ConvertsAtOpen) {
+  // A v3 file stores 16-byte canonical records; it converts to v4 at open
+  // by splitting them into keys and distances in the same slot order.
   const std::string blob = GoldenFlatV3();
+  ASSERT_FALSE(blob.empty());
+  StatusOr<FlatFileInfo> info = ReadFlatFileInfo(blob);
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->header.version, 3u);
+  EXPECT_EQ(info->header.minor_version, 0u);
+  ASSERT_EQ(info->sections.size(), kFlatSectionCountV2);
+  StatusOr<OracleView> view = OracleView::FromBuffer(blob);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_EQ(view->converted_from(), 3u);
+  ExpectGoldenShape(*view);
+  EXPECT_EQ(view->buffer(), GoldenFlatV4());
+}
+
+TEST(FormatStability, GoldenV4OpensZeroCopyAndAnswersLikeV1) {
+  const std::string blob = GoldenFlatV4();
   ASSERT_FALSE(blob.empty());
   StatusOr<FlatFileInfo> info = ReadFlatFileInfo(blob);
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->header.version, kFlatFormatVersion);
   EXPECT_EQ(info->header.minor_version, kFlatFormatMinorVersion);
-  ASSERT_EQ(info->sections.size(), kFlatSectionCountV2);
+  ASSERT_EQ(info->sections.size(), kFlatSectionCountV4);
   StatusOr<OracleView> view = OracleView::FromBuffer(blob);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   EXPECT_EQ(view->converted_from(), 0u);
   EXPECT_EQ(view->buffer().data(), blob.data());  // served in place
   ExpectGoldenShape(*view);
+  EXPECT_EQ(view->pair_set().key_width(), 4u);
   StatusOr<OracleView> v1 = OracleView::FromBuffer(GoldenFlatMinor1());
   ASSERT_TRUE(v1.ok());
   const uint32_t n = static_cast<uint32_t>(view->num_pois());
@@ -172,20 +200,20 @@ TEST(FormatStability, GoldenV3OpensZeroCopyAndAnswersLikeV1) {
   EXPECT_NEAR(*view->Distance(11, 4), 1089.404627, 1e-6);
 }
 
-TEST(FormatStability, CurrentWriterMatchesV3GoldenByteForByte) {
+TEST(FormatStability, CurrentWriterMatchesV4GoldenByteForByte) {
   // Opening ANY golden and re-serializing its components must reproduce
-  // the v3 golden exactly: the writer always emits the current version,
+  // the v4 golden exactly: the writer always emits the current version,
   // rebuilds the pilot hash from the pair set, and recomputes the ancestor
   // table from the tree.
-  const std::string v3 = GoldenFlatV3();
-  ASSERT_FALSE(v3.empty());
-  for (const std::string& blob :
-       {GoldenFlatMinor0(), GoldenFlatMinor1(), GoldenFlatV2(), v3}) {
+  const std::string v4 = GoldenFlatV4();
+  ASSERT_FALSE(v4.empty());
+  for (const std::string& blob : {GoldenFlatMinor0(), GoldenFlatMinor1(),
+                                  GoldenFlatV2(), GoldenFlatV3(), v4}) {
     const std::string reserialized = Reserialize(blob);
-    ASSERT_EQ(reserialized.size(), v3.size())
+    ASSERT_EQ(reserialized.size(), v4.size())
         << "flat format layout drifted — bump kFlatFormatMinorVersion (or "
            "the major version) and regenerate tests/golden/";
-    EXPECT_EQ(reserialized, v3)
+    EXPECT_EQ(reserialized, v4)
         << "flat format bytes drifted — bump kFlatFormatMinorVersion (or "
            "the major version) and regenerate tests/golden/";
   }
@@ -222,8 +250,9 @@ TEST(FormatStability, GoldenSpotChecksMatchRecordedValues) {
   // difference between a pair's two pre-v3 orientations). Checked on every
   // golden, so the ancestor-table path answers the same recorded numbers
   // as the walk path.
-  for (const std::string& blob : {GoldenFlatMinor0(), GoldenFlatMinor1(),
-                                  GoldenFlatV2(), GoldenFlatV3()}) {
+  for (const std::string& blob :
+       {GoldenFlatMinor0(), GoldenFlatMinor1(), GoldenFlatV2(),
+        GoldenFlatV3(), GoldenFlatV4()}) {
     StatusOr<OracleView> view = OracleView::FromBuffer(blob);
     ASSERT_TRUE(view.ok());
     EXPECT_NEAR(*view->Distance(0, 1), 782.040311, 1e-6);
@@ -235,7 +264,52 @@ TEST(FormatStability, GoldenSpotChecksMatchRecordedValues) {
   }
 }
 
-/// A one-shard TSOPACK around `flat` (a v1 or v2 file, which the current
+/// One section of a hand-framed file.
+struct TestSection {
+  uint32_t id;
+  std::string_view bytes;
+  uint64_t count;
+};
+
+/// Frames `sections` as the writers do: the header, the CRC'd section
+/// table, then the payloads at 64-byte-aligned offsets.
+std::string FrameSections(const char (&magic)[8], uint32_t version,
+                          std::span<const TestSection> sections) {
+  std::vector<FlatSectionEntry> table(sections.size());
+  uint64_t cursor =
+      sizeof(FlatHeader) + table.size() * sizeof(FlatSectionEntry);
+  for (size_t i = 0; i < sections.size(); ++i) {
+    table[i].id = sections[i].id;
+    table[i].offset = (cursor + kFlatSectionAlign - 1) / kFlatSectionAlign *
+                      kFlatSectionAlign;
+    table[i].size = sections[i].bytes.size();
+    table[i].count = sections[i].count;
+    table[i].crc32 = Crc32(sections[i].bytes.data(), table[i].size);
+    cursor = table[i].offset + table[i].size;
+  }
+  const size_t table_bytes = table.size() * sizeof(FlatSectionEntry);
+  FlatHeader header{};
+  std::memcpy(header.magic, magic, sizeof(header.magic));
+  header.endian_tag = kFlatEndianTag;
+  header.version = version;
+  header.file_size = cursor;
+  header.section_count = static_cast<uint32_t>(table.size());
+  header.section_table_crc = Crc32(table.data(), table_bytes);
+  std::string out(reinterpret_cast<const char*>(&header), sizeof(header));
+  out.append(reinterpret_cast<const char*>(table.data()), table_bytes);
+  for (size_t i = 0; i < sections.size(); ++i) {
+    out.append(table[i].offset - out.size(), '\0');
+    out.append(sections[i].bytes);
+  }
+  return out;
+}
+
+template <typename T>
+std::string_view Bytes(const std::vector<T>& v) {
+  return {reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T)};
+}
+
+/// A one-shard TSOPACK around `flat` (a v1-v3 file, which the current
 /// pack writer cannot emit): every POI and node routes to shard 0, and the
 /// pair total is the shard file's own count, as the writers of those
 /// versions recorded it.
@@ -252,59 +326,31 @@ std::string WrapAsOneShardPack(const std::string& flat) {
   meta.policy = static_cast<uint32_t>(PackPolicy::kPoiRange);
   const std::vector<uint32_t> shard_of_poi(meta.num_pois, 0);
   const std::vector<uint32_t> shard_of_node(meta.num_tree_nodes, 0);
-  const std::string_view payloads[] = {
-      {reinterpret_cast<const char*>(&meta), sizeof(meta)},
-      {reinterpret_cast<const char*>(shard_of_poi.data()),
-       shard_of_poi.size() * sizeof(uint32_t)},
-      {reinterpret_cast<const char*>(shard_of_node.data()),
-       shard_of_node.size() * sizeof(uint32_t)},
-      flat};
-  const uint64_t counts[] = {1, meta.num_pois, meta.num_tree_nodes, 1};
-  const uint32_t ids[] = {kPackMeta, kPackShardOfPoi, kPackShardOfNode,
-                          kPackShardBase};
-  FlatSectionEntry table[4] = {};
-  uint64_t cursor = sizeof(FlatHeader) + sizeof(table);
-  for (int i = 0; i < 4; ++i) {
-    table[i].id = ids[i];
-    table[i].offset = (cursor + kFlatSectionAlign - 1) / kFlatSectionAlign *
-                      kFlatSectionAlign;
-    table[i].size = payloads[i].size();
-    table[i].count = counts[i];
-    table[i].crc32 = Crc32(payloads[i].data(), payloads[i].size());
-    cursor = table[i].offset + table[i].size;
-  }
-  FlatHeader header{};
-  std::memcpy(header.magic, kPackMagic, sizeof(kPackMagic));
-  header.endian_tag = kFlatEndianTag;
-  header.version = kPackFormatVersion;
-  header.file_size = cursor;
-  header.section_count = 4;
-  header.section_table_crc = Crc32(table, sizeof(table));
-  std::string out(reinterpret_cast<const char*>(&header), sizeof(header));
-  out.append(reinterpret_cast<const char*>(table), sizeof(table));
-  for (int i = 0; i < 4; ++i) {
-    out.append(table[i].offset - out.size(), '\0');
-    out.append(payloads[i]);
-  }
-  return out;
+  const TestSection sections[] = {
+      {kPackMeta, {reinterpret_cast<const char*>(&meta), sizeof(meta)}, 1},
+      {kPackShardOfPoi, Bytes(shard_of_poi), meta.num_pois},
+      {kPackShardOfNode, Bytes(shard_of_node), meta.num_tree_nodes},
+      {kPackShardBase, flat, 1}};
+  return FrameSections(kPackMagic, kPackFormatVersion, sections);
 }
 
 TEST(FormatStability, OldPackShardsConvertAtOpen) {
-  // Pack shards open through OracleView::FromBuffer, so a pack of v1 or v2
-  // shards converts shard by shard and answers like the v3 golden.
-  const std::string v3 = GoldenFlatV3();
-  StatusOr<OracleView> view = OracleView::FromBuffer(v3);
+  // Pack shards open through OracleView::FromBuffer, so a pack of v1-v3
+  // shards converts shard by shard and answers like the v4 golden.
+  const std::string v4 = GoldenFlatV4();
+  StatusOr<OracleView> view = OracleView::FromBuffer(v4);
   ASSERT_TRUE(view.ok());
   const uint32_t n = static_cast<uint32_t>(view->num_pois());
   for (const auto& [blob, version] :
-       {std::pair(GoldenFlatMinor1(), 1u), std::pair(GoldenFlatV2(), 2u)}) {
+       {std::pair(GoldenFlatMinor1(), 1u), std::pair(GoldenFlatV2(), 2u),
+        std::pair(GoldenFlatV3(), 3u)}) {
     const std::string pack_bytes = WrapAsOneShardPack(blob);
     ASSERT_FALSE(pack_bytes.empty());
     StatusOr<PackView> pack =
         PackView::FromBuffer(pack_bytes, {.verify_checksums = true});
     ASSERT_TRUE(pack.ok()) << pack.status().ToString();
     EXPECT_EQ(pack->shard(0).converted_from(), version);
-    EXPECT_EQ(pack->shard(0).buffer(), v3);
+    EXPECT_EQ(pack->shard(0).buffer(), v4);
     for (uint32_t s = 0; s < n; ++s) {
       for (uint32_t t = 0; t < n; ++t) {
         EXPECT_EQ(*pack->Distance(s, t), *view->Distance(s, t))
@@ -342,8 +388,9 @@ TEST(FormatStability, CorruptV1PairsFailConversionCleanly) {
 
 /// The v2 file a pre-v3 build of `oracle` wrote: every canonical record
 /// plus its reverse orientation, whose distance came from the opposite SSAD
-/// source and may differ in the last bits (modelled here by one ulp), in
-/// the same sections under version 2.
+/// source and may differ in the last bits (modelled here by one ulp), as
+/// 16-byte records in the slot order of the pilot hash over both
+/// orientations, in the v2 sections.
 std::string AsV2File(const OracleView& oracle) {
   std::vector<NodePair> both;
   for (const NodePair& p : oracle.pair_set().pairs()) {
@@ -352,21 +399,38 @@ std::string AsV2File(const OracleView& oracle) {
       both.push_back({p.b, p.a, std::nextafter(p.distance, 1e300)});
     }
   }
-  StatusOr<NodePairSet> set = NodePairSet::FromPairs(both);
+  StatusOr<NodePairSet> set = NodePairSet::FromPairs(
+      both, static_cast<uint32_t>(oracle.tree().num_nodes()));
   EXPECT_TRUE(set.ok());
   if (!set.ok()) return "";
-  std::string bytes = SerializeSeOracleFlat(oracle.epsilon(), oracle.pois(),
-                                            oracle.tree(), set->view());
-  const uint32_t version = 2;  // the header is not covered by a checksum
-  std::memcpy(bytes.data() + offsetof(FlatHeader, version), &version,
-              sizeof(version));
-  return bytes;
+  const NodePairSetView pairs = set->view();
+  std::vector<NodePair> records(pairs.num_slots(), kEmptyPairSlot);
+  for (const NodePair& p : pairs.pairs()) {
+    records[pairs.hash().Slot(PairKey(p.a, p.b))] = p;
+  }
+  // The other sections are the current writer's: only the pair sections
+  // changed from v2 to v4.
+  const std::string v4 = SerializeSeOracleFlat(
+      oracle.epsilon(), oracle.pois(), oracle.tree(), pairs);
+  StatusOr<FlatFileInfo> info = ReadFlatFileInfo(v4);
+  EXPECT_TRUE(info.ok());
+  if (!info.ok()) return "";
+  std::vector<TestSection> sections;
+  for (const FlatSectionEntry& e : info->sections) {
+    if (e.id == kFlatPairKeys) {
+      sections.push_back({kFlatPairs, Bytes(records), records.size()});
+    } else if (e.id != kFlatPairDistances) {
+      sections.push_back(
+          {e.id, std::string_view(v4).substr(e.offset, e.size), e.count});
+    }
+  }
+  return FrameSections(kFlatMagic, 2, sections);
 }
 
-TEST(FormatStability, V2BuildConvertsToTheFreshV3Build) {
+TEST(FormatStability, V2BuildConvertsToTheFreshBuild) {
   // An MMP build at ε = 0.1, as the wire_p2p benchmark serves (smaller):
-  // its v2 form, converted at open, is byte for byte the v3 build, and the
-  // reverse records' last-ulp differences are gone from every answer.
+  // its v2 form, converted at open, is byte for byte the fresh build, and
+  // the reverse records' last-ulp differences are gone from every answer.
   StatusOr<Dataset> ds =
       MakePaperDataset(PaperDataset::kSanFranciscoSmall, 300, 40, 21);
   ASSERT_TRUE(ds.ok());
@@ -399,7 +463,7 @@ TEST(FormatStability, V2BuildConvertsToTheFreshV3Build) {
 TEST(FormatStability, FreshBuildSaveLoadSaveIsByteStable) {
   // Independent of which golden seeded it: any oracle serialized, opened,
   // and re-serialized must be byte-stable.
-  const std::string flat = GoldenFlatV3();
+  const std::string flat = GoldenFlatV4();
   const std::string once = Reserialize(flat);
   ASSERT_FALSE(once.empty());
   EXPECT_EQ(Reserialize(once), flat);

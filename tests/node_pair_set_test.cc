@@ -1,5 +1,10 @@
 #include "oracle/node_pair_set.h"
 
+#include <algorithm>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "baselines/full_materialization.h"
@@ -176,6 +181,93 @@ TEST(NodePairSet, SelfPairsHaveZeroDistance) {
     ASSERT_TRUE(set->Lookup(leaf, leaf, &d)) << "poi " << p;
     EXPECT_EQ(d, 0.0);
   }
+}
+
+TEST(NodePairSet, KeyWidthBoundary) {
+  // One pair set over 65,535 ids (4-byte keys) and over 65,536 (8-byte
+  // keys): the hash is computed on the 64-bit key either way, so the pilots
+  // and the slot order agree, and the exact 16-bit compare answers every
+  // probe as the 64-bit compare does, including ids >= 2^16 that a
+  // truncated shift would alias onto a stored key.
+  std::vector<NodePair> pairs = {{0, 0, 0.0},
+                                 {1, 0, 1.5},
+                                 {1, 5, 2.5},
+                                 {0, 0xFFFE, 3.5},
+                                 {0xFFFE, 0xFFFE, 4.5}};
+  Rng rng(71);
+  std::set<std::pair<uint32_t, uint32_t>> seen;
+  for (const NodePair& p : pairs) seen.emplace(p.a, p.b);
+  while (pairs.size() < 5000) {
+    const uint32_t a = static_cast<uint32_t>(rng.Uniform(0xFFFF));
+    const uint32_t b = static_cast<uint32_t>(rng.Uniform(0xFFFF));
+    if (seen.emplace(a, b).second) pairs.push_back({a, b, 0.25 * a + b});
+  }
+  StatusOr<NodePairSet> narrow = NodePairSet::FromPairs(pairs, 0xFFFF);
+  StatusOr<NodePairSet> wide = NodePairSet::FromPairs(pairs, 0x10000);
+  ASSERT_TRUE(narrow.ok() && wide.ok());
+  const NodePairSetView nv = narrow->view();
+  const NodePairSetView wv = wide->view();
+  EXPECT_EQ(nv.key_width(), 4u);
+  EXPECT_EQ(wv.key_width(), 8u);
+  EXPECT_EQ(nv.keys().size(), 4 * nv.num_slots());
+  EXPECT_EQ(wv.keys().size(), 8 * wv.num_slots());
+
+  EXPECT_EQ(nv.hash().seed(), wv.hash().seed());
+  EXPECT_EQ(nv.num_slots(), wv.num_slots());
+  EXPECT_TRUE(std::ranges::equal(nv.hash().pilots(), wv.hash().pilots()));
+  EXPECT_TRUE(std::ranges::equal(nv.distances(), wv.distances()));
+  std::vector<std::pair<uint32_t, uint32_t>> narrow_order, wide_order;
+  for (const NodePair& p : nv.pairs()) narrow_order.emplace_back(p.a, p.b);
+  for (const NodePair& p : wv.pairs()) wide_order.emplace_back(p.a, p.b);
+  EXPECT_EQ(narrow_order.size(), pairs.size());
+  EXPECT_EQ(narrow_order, wide_order);
+
+  const auto same_answer = [&](uint32_t a, uint32_t b) {
+    double dn = -1.0, dw = -1.0;
+    const bool hn = nv.Lookup(a, b, &dn);
+    const bool hw = wv.Lookup(a, b, &dw);
+    EXPECT_EQ(hn, hw) << a << "," << b;
+    EXPECT_EQ(dn, dw) << a << "," << b;
+    return hn;
+  };
+  for (const NodePair& p : pairs) {
+    EXPECT_TRUE(same_answer(p.a, p.b)) << p.a << "," << p.b;
+    EXPECT_FALSE(same_answer(p.a + 0x10000, p.b));
+    EXPECT_FALSE(same_answer(p.a, p.b + 0x10000));
+  }
+  for (const auto& [a, b] : {std::pair<uint32_t, uint32_t>{0xFFFF, 0xFFFF},
+                             {0x10000, 5},
+                             {0x10001, 0},
+                             {1, 0x10000},
+                             {0, 0x10005},
+                             {kInvalidId, kInvalidId}}) {
+    EXPECT_FALSE(same_answer(a, b)) << a << "," << b;
+  }
+
+  // An empty set has one slot, and it is empty: every probe reads the
+  // all-ones key, which must match nothing at either width.
+  StatusOr<NodePairSet> empty_narrow = NodePairSet::FromPairs({}, 0xFFFF);
+  StatusOr<NodePairSet> empty_wide = NodePairSet::FromPairs({}, 0x10000);
+  ASSERT_TRUE(empty_narrow.ok() && empty_wide.ok());
+  double d;
+  for (const NodePairSetView& v :
+       {empty_narrow->view(), empty_wide->view(), NodePairSetView()}) {
+    EXPECT_FALSE(v.Lookup(0xFFFF, 0xFFFF, &d));
+    EXPECT_FALSE(v.Lookup(kInvalidId, kInvalidId, &d));
+    EXPECT_FALSE(v.Lookup(0, 0, &d));
+  }
+
+  // Every id must be below num_ids.
+  const NodePair last[] = {{0xFFFE, 0xFFFF, 1.0}};
+  const NodePair first[] = {{0xFFFF, 0, 1.0}};
+  const NodePair past[] = {{0, 0x10000, 1.0}};
+  EXPECT_EQ(NodePairSet::FromPairs(last, 0xFFFF).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(NodePairSet::FromPairs(first, 0xFFFF).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(NodePairSet::FromPairs(last, 0x10000).ok());
+  EXPECT_EQ(NodePairSet::FromPairs(past, 0x10000).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

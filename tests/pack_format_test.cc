@@ -233,22 +233,31 @@ TEST(PackFormat, OpenRoundTripsThroughAFile) {
 }
 
 TEST(PackFormat, OutOfRangePairIdInFlatInputRejected) {
-  // An opened view does not scan pair ids, and the pack writer indexes its
+  // An opened view does not scan pair keys, and the pack writer indexes its
   // node-to-shard table with them: a checksum-valid flat file naming a node
-  // outside the tree must be InvalidArgument, not an out-of-bounds read.
+  // outside the tree in either 16-bit field of a key must be
+  // InvalidArgument, not an out-of-bounds read.
   const std::string flat = SerializeSeOracleFlat(*Fixture().oracle);
   StatusOr<FlatFileInfo> info = ReadFlatFileInfo(flat);
   ASSERT_TRUE(info.ok());
-  uint64_t pairs_offset = 0;
+  ASSERT_EQ(Fixture().oracle->pair_set().key_width(), 4u);
+  uint64_t keys_offset = 0;
   for (const FlatSectionEntry& e : info->sections) {
-    if (e.id == kFlatPairs) pairs_offset = e.offset;
+    if (e.id == kFlatPairKeys) keys_offset = e.offset;
   }
-  ASSERT_NE(pairs_offset, 0u);
-  const uint32_t num_nodes =
-      static_cast<uint32_t>(Fixture().oracle->tree().num_nodes());
-  for (size_t field : {offsetof(NodePair, a), offsetof(NodePair, b)}) {
+  ASSERT_NE(keys_offset, 0u);
+  // The first occupied slot. Its key is (a << 16) | b, little-endian, so
+  // b is the 16-bit field at byte 0 and a the one at byte 2.
+  uint64_t key_offset = keys_offset;
+  while (std::memcmp(flat.data() + key_offset, &kEmptyNarrowPairKey,
+                     sizeof(uint32_t)) == 0) {
+    key_offset += sizeof(uint32_t);
+  }
+  const uint16_t num_nodes =
+      static_cast<uint16_t>(Fixture().oracle->tree().num_nodes());
+  for (size_t field : {size_t{0}, size_t{2}}) {  // b, then a
     std::string bad = flat;
-    std::memcpy(bad.data() + pairs_offset + field, &num_nodes,
+    std::memcpy(bad.data() + key_offset + field, &num_nodes,
                 sizeof(num_nodes));
     ResealFlatChecksums(&bad);
     const std::string path = ::testing::TempDir() + "/bad_pair_id.tso";

@@ -428,8 +428,8 @@ TEST(SeOracle, MmpBuildMatchesRecordedBytes) {
   // Two pins: the content CRC over the canonical (a <= b) records
   // (format-independent; recorded by running ContentCrc against the
   // TSOFLAT 2.0 build, which stored both orientations, so it proves the
-  // 3.0 build keeps exactly the bits of those records) and the size and
-  // CRC of the TSOFLAT 3.0 bytes.
+  // 3.0 and 4.0 builds keep exactly the bits of those records) and the
+  // size and CRC of the TSOFLAT 4.0 bytes.
   OracleFixture fx(60, 37);
   const TerrainMesh& mesh = *fx.ds->mesh;
   struct Recorded {
@@ -439,8 +439,8 @@ TEST(SeOracle, MmpBuildMatchesRecordedBytes) {
     uint32_t crc32;
   };
   for (const Recorded& want :
-       {Recorded{0.1, 1631274966u, 40576, 2004741853u},
-        Recorded{0.25, 1344012372u, 39744, 1210628402u}}) {
+       {Recorded{0.1, 1631274966u, 33216, 504656587u},
+        Recorded{0.25, 1344012372u, 32576, 2468704600u}}) {
     for (uint32_t threads : {1u, 4u}) {
       SeOracleOptions options;
       options.epsilon = want.epsilon;

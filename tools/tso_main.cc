@@ -11,6 +11,7 @@
 // harness. Measurements live under bench/: the paper-figure benches and the
 // serving benchmarks (bench_throughput, in process and over loopback TCP).
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -22,8 +23,10 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -239,9 +242,39 @@ inspect options:
 )");
 }
 
-bool ParseArgs(int argc, char** argv, Args* args) {
+// The flags each command reads. Any other flag exits 2 with its name, so
+// a flag meant for another command is never silently ignored; --help and
+// -h are valid everywhere.
+constexpr std::string_view kBuildOracleFlags[] = {
+    "--dataset", "--mesh",       "--vertices",      "--pois",
+    "--epsilon", "--solver",     "--build-threads", "--threads",
+    "--seed",    "--ssad-batch", "--out"};
+constexpr std::string_view kPackFlags[] = {"--oracle", "--out", "--shards",
+                                           "--policy"};
+constexpr std::string_view kQueryFlags[] = {"--oracle", "--pair",
+                                            "--random", "--seed",
+                                            "--dynamic", "--churn"};
+constexpr std::string_view kServeFlags[] = {
+    "--oracle",          "--port",          "--port-file",
+    "--max-connections", "--query-threads", "--max-inflight",
+    "--deadline-us",     "--load-retries"};
+constexpr std::string_view kClientFlags[] = {
+    "--host",   "--port",        "--port-file",    "--pair",  "--random",
+    "--seed",   "--batch",       "--knn",          "--range", "--stats",
+    "--health", "--deadline-us", "--check-against"};
+constexpr std::string_view kInspectFlags[] = {
+    "--oracle", "--deep", "--dynamic", "--churn", "--seed"};
+
+bool ParseArgs(int argc, char** argv, std::span<const std::string_view> flags,
+               Args* args) {
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
+    if (flag != "--help" && flag != "-h" &&
+        std::find(flags.begin(), flags.end(), flag) == flags.end()) {
+      std::fprintf(stderr, "tso %s: unknown flag %s (see tso --help)\n",
+                   argv[1], flag.c_str());
+      return false;
+    }
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "tso: missing value for %s\n", flag.c_str());
@@ -376,9 +409,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--help" || flag == "-h") {
       Usage();
       std::exit(0);
-    } else {
-      std::fprintf(stderr, "tso: unknown flag %s\n", flag.c_str());
-      return false;
     }
   }
   return true;
@@ -1160,29 +1190,36 @@ int InspectPack(const std::string& path, const std::string& bytes,
 }
 
 /// The oracle's space report: bytes per stored pair of the pair index
-/// (the node-pair records plus the hash that places them: pilots in v2 and
-/// v3, the FKS tables in v1), and the file against a dense n × n matrix of
-/// 8-byte distances, the structure the oracle competes with.
+/// (keys, distances and the pilots that place them in v4; the node-pair
+/// records plus pilots in v2 and v3, or plus the FKS tables in v1), and the
+/// file against the matrices the oracle competes with: a dense n × n and a
+/// triangular n(n+1)/2 matrix of 8-byte distances.
 void PrintSpace(const FlatFileInfo& info, const FlatMeta& meta,
                 size_t file_bytes) {
   uint64_t index_bytes = 0;
   for (const FlatSectionEntry& e : info.sections) {
-    if (e.id == kFlatPairs || e.id == kFlatPilots ||
+    if (e.id == kFlatPairs || e.id == kFlatPilots || e.id == kFlatPairKeys ||
+        e.id == kFlatPairDistances ||
         (e.id >= kFlatHashBucketMul && e.id <= kFlatHashSlotUsed)) {
       index_bytes += e.size;
     }
   }
-  const double matrix_bytes = 8.0 * static_cast<double>(meta.num_pois) *
-                              static_cast<double>(meta.num_pois);
+  const double n = static_cast<double>(meta.num_pois);
+  const double dense_bytes = 8.0 * n * n;
+  const double triangular_bytes = 4.0 * n * (n + 1.0);
+  const auto ratio = [&](double matrix_bytes) {
+    return matrix_bytes == 0.0 ? 0.0 : file_bytes / matrix_bytes;
+  };
   std::printf("  space: %.2f bytes per pair (pair index %llu bytes, %llu "
-              "pairs); file %.2fx a dense n^2 x 8-byte matrix (%.0f bytes)\n",
+              "pairs); file %.3fx a dense n^2 x 8-byte matrix (%.0f bytes), "
+              "%.3fx a triangular n(n+1)/2 one (%.0f bytes)\n",
               meta.num_pairs == 0 ? 0.0
                                   : static_cast<double>(index_bytes) /
                                         static_cast<double>(meta.num_pairs),
               static_cast<unsigned long long>(index_bytes),
               static_cast<unsigned long long>(meta.num_pairs),
-              matrix_bytes == 0.0 ? 0.0 : file_bytes / matrix_bytes,
-              matrix_bytes);
+              ratio(dense_bytes), dense_bytes, ratio(triangular_bytes),
+              triangular_bytes);
 }
 
 int InspectFile(const Args& args) {
@@ -1248,13 +1285,23 @@ int InspectFile(const Args& args) {
                   sizeof(CompressedTreeNode), 64 / sizeof(CompressedTreeNode),
                   SectionAlignment(e.offset) >= 64 ? "line" : "NOT line");
     } else if (e.id == kFlatPairs) {
-      std::printf("  layout: node pairs    %2zu B/pair  (%zu per 64B line, "
-                  "section %s-aligned)\n",
-                  sizeof(NodePair), 64 / sizeof(NodePair),
-                  SectionAlignment(e.offset) >= 64 ? "line" : "NOT line");
+      std::printf("  layout: pair records  %2zu B/slot  (v1-v3 records, "
+                  "split into keys and distances at open)\n",
+                  sizeof(NodePair));
+    } else if (e.id == kFlatPairKeys || e.id == kFlatPairDistances) {
+      const uint64_t width = e.count == 0 ? 0 : e.size / e.count;
+      std::printf("  layout: pair %-9s%2llu B/slot  (%llu per 64B line, "
+                  "section %s-aligned%s)\n",
+                  e.id == kFlatPairKeys ? "keys" : "distances",
+                  static_cast<unsigned long long>(width),
+                  static_cast<unsigned long long>(width == 0 ? 0 : 64 / width),
+                  SectionAlignment(e.offset) >= 64 ? "line" : "NOT line",
+                  e.id == kFlatPairKeys
+                      ? (width == 4 ? "; 16-bit ids" : "; 32-bit ids")
+                      : "; read on hits only");
     } else if (e.id == kFlatPilots) {
       std::printf("  layout: pilots        %2zu B/bucket (%llu buckets, %.1f "
-                  "KiB: one pilot + one record line per probe)\n",
+                  "KiB: one pilot read per probe)\n",
                   sizeof(uint16_t), static_cast<unsigned long long>(e.count),
                   e.size / 1024.0);
     } else if (e.id == kFlatAncestors) {
@@ -1334,17 +1381,24 @@ int Main(int argc, char** argv) {
   }
   // The command is resolved before its flags, so a removed command is
   // reported as such rather than as one of its old flags.
-  using Command = int (*)(const Args&);
-  const std::pair<const char*, Command> commands[] = {
-      {"build-oracle", CmdBuildOracle}, {"pack", CmdPack},
-      {"query", CmdQuery},              {"serve", CmdServe},
-      {"client", CmdClient},            {"inspect", CmdInspect},
+  struct Command {
+    const char* name;
+    int (*run)(const Args&);
+    std::span<const std::string_view> flags;
   };
-  for (const auto& [name, run] : commands) {
-    if (cmd != name) continue;
+  const Command commands[] = {
+      {"build-oracle", CmdBuildOracle, kBuildOracleFlags},
+      {"pack", CmdPack, kPackFlags},
+      {"query", CmdQuery, kQueryFlags},
+      {"serve", CmdServe, kServeFlags},
+      {"client", CmdClient, kClientFlags},
+      {"inspect", CmdInspect, kInspectFlags},
+  };
+  for (const Command& c : commands) {
+    if (cmd != c.name) continue;
     Args args;
-    if (!ParseArgs(argc, argv, &args)) return 2;
-    return run(args);
+    if (!ParseArgs(argc, argv, c.flags, &args)) return 2;
+    return c.run(args);
   }
   std::fprintf(stderr, "tso: unknown command '%s'\n", cmd.c_str());
   Usage();
