@@ -36,7 +36,7 @@ DynamicSeOracle::~DynamicSeOracle() {
   }
   // ~EpochDomain (destroyed after this body — it is the earliest-declared
   // of the mutable members) quiesces, so the retired snapshots are freed
-  // before oplog_ and the owned solvers go away.
+  // before the owned solvers go away.
 }
 
 StatusOr<std::unique_ptr<DynamicSeOracle>> DynamicSeOracle::Mount(
@@ -179,114 +179,78 @@ StatusOr<uint32_t> DynamicSeOracle::Insert(const SurfacePoint& poi) {
   // One SSAD covering every live POI — the delta POI's exact row.
   std::vector<double> dists;
   TSO_RETURN_IF_ERROR(CoverDistances(poi, targets, &dists));
-  auto row = std::make_shared<std::vector<double>>(row_len, kInfDist);
+  std::vector<double> row(row_len, kInfDist);
   for (size_t k = 0; k < target_ids.size(); ++k) {
-    (*row)[target_ids[k]] = dists[k];
+    row[target_ids[k]] = dists[k];
   }
 
-  OpRecord rec;
-  rec.kind = OpRecord::Kind::kInsert;
-  rec.id = id;
-  rec.poi = poi;
-  rec.row = std::move(row);
-  oplog_.Append(std::move(rec));
-
-  // Publish point. A concurrent writer's merge may already have folded our
-  // record — MergeLocked is then a cheap no-op.
+  // Publish point: fold this one record and publish it.
   {
     std::lock_guard<std::mutex> lock(merge_mu_);
-    TSO_RETURN_IF_ERROR(MergeLocked(nullptr));
+    TSO_RETURN_IF_ERROR(MergeLocked(id, &poi, std::move(row)));
   }
   inserts_.fetch_add(1, std::memory_order_relaxed);
-  TSO_RETURN_IF_ERROR(MaybeCompact());
+  MaybeCompact();
   return id;
 }
 
 Status DynamicSeOracle::Remove(uint32_t id) {
   std::lock_guard<std::mutex> lock(merge_mu_);
-  // Fold pending inserts first so a just-inserted id is removable.
-  TSO_RETURN_IF_ERROR(MergeLocked(nullptr));
-  const DynamicSnapshot* snap = Current();
-  if (id >= snap->num_ids() || !snap->IsLive(id)) {
+  if (!Current()->IsLive(id)) {
     return Status::NotFound("no live POI with this id");
   }
-  OpRecord rec;
-  rec.kind = OpRecord::Kind::kRemove;
-  rec.id = id;
-  TSO_RETURN_IF_ERROR(MergeLocked(&rec));
+  TSO_RETURN_IF_ERROR(MergeLocked(id, nullptr, {}));
   removes_.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
 }
 
-Status DynamicSeOracle::MergeLocked(const OpRecord* extra) {
-  // Injected failures land BEFORE the drain: nothing is consumed, every
-  // appended record stays in the oplog, and a later merge folds it — so a
-  // failed merge can delay publication but never lose another writer's op.
+Status DynamicSeOracle::MergeLocked(uint32_t id, const SurfacePoint* poi,
+                                    std::vector<double> row) {
+  // Injected failures land before anything changes: the write fails whole.
   TSO_FAILPOINT("dyn.merge");
-  std::vector<OpRecord> ops;
-  oplog_.Drain(&ops);
-  if (extra != nullptr) ops.push_back(*extra);
-  if (ops.empty()) return Status::Ok();
-
-  // Deterministic fold order: inserts by ascending stable id, tombstones
-  // last. (Thread segments interleave arbitrarily in the drain.)
-  std::stable_sort(ops.begin(), ops.end(),
-                   [](const OpRecord& a, const OpRecord& b) {
-                     const bool ar = a.kind == OpRecord::Kind::kRemove;
-                     const bool br = b.kind == OpRecord::Kind::kRemove;
-                     if (ar != br) return br;
-                     return a.id < b.id;
-                   });
-
   // merge_mu_ is held: the only threads that retire snapshots are publish
   // points, so the current snapshot cannot go away under us.
   const DynamicSnapshot* old = Current();
-  uint32_t new_ids = static_cast<uint32_t>(old->num_ids());
-  for (const OpRecord& op : ops) {
-    if (op.kind == OpRecord::Kind::kInsert) {
-      new_ids = std::max(new_ids, op.id + 1);
+  const uint32_t n = std::max(static_cast<uint32_t>(old->num_ids()),
+                              poi != nullptr ? id + 1 : 0u);
+  if (poi != nullptr) {
+    // Extend the row to the full id space: fill every live id the
+    // inserting thread's pinned snapshot predates. This keeps the invariant
+    // that a delta row covers everything live at its merge — so for any
+    // live-live pair the younger endpoint's row is complete.
+    row.resize(n, kInfDist);
+    for (uint32_t j = 0; j < n; ++j) {
+      if (j == id || !old->IsLive(j) || row[j] != kInfDist) continue;
+      StatusOr<double> d = ExactP2P(*poi, old->poi(j));
+      if (!d.ok()) return d.status();
+      row[j] = *d;
     }
   }
 
   auto next = std::unique_ptr<DynamicSnapshot>(new DynamicSnapshot());
   next->base_ = old->base_;
   next->points_ = old->points_;
-  next->points_.resize(new_ids);
+  next->points_.resize(n);
   next->alive_ = old->alive_;
-  next->alive_.resize(new_ids, 0);
+  next->alive_.resize(n, 0);
   next->base_index_ = old->base_index_;
-  next->base_index_.resize(new_ids, kInvalidId);
+  next->base_index_.resize(n, kInvalidId);
   next->delta_slot_ = old->delta_slot_;
-  next->delta_slot_.resize(new_ids, -1);
+  next->delta_slot_.resize(n, -1);
   next->rows_ = old->rows_;
   next->delta_ids_ = old->delta_ids_;
   next->live_count_ = old->live_count_;
-
-  for (const OpRecord& op : ops) {
-    if (op.kind == OpRecord::Kind::kInsert) {
-      // Extend the record's row to the full id space: fill every live id
-      // the inserting thread's pinned snapshot predates. This keeps the
-      // invariant that a delta row covers everything live at its merge —
-      // so for any live-live pair the younger endpoint's row is complete.
-      auto row = std::make_shared<std::vector<double>>(*op.row);
-      row->resize(new_ids, kInfDist);
-      for (uint32_t j = 0; j < new_ids; ++j) {
-        if (j == op.id || next->alive_[j] == 0) continue;
-        if ((*row)[j] != kInfDist) continue;
-        StatusOr<double> d = ExactP2P(op.poi, next->points_[j]);
-        if (!d.ok()) return d.status();
-        (*row)[j] = *d;
-      }
-      next->points_[op.id] = op.poi;
-      next->alive_[op.id] = 1;
-      next->delta_slot_[op.id] = static_cast<int32_t>(next->rows_.size());
-      next->rows_.push_back(std::move(row));
-      next->delta_ids_.push_back(op.id);
-      ++next->live_count_;
-    } else if (op.id < new_ids && next->alive_[op.id] != 0) {
-      next->alive_[op.id] = 0;
-      --next->live_count_;
-    }
+  if (poi != nullptr) {
+    next->points_[id] = *poi;
+    next->alive_[id] = 1;
+    next->delta_slot_[id] = static_cast<int32_t>(next->rows_.size());
+    next->rows_.push_back(
+        std::make_shared<const std::vector<double>>(std::move(row)));
+    next->delta_ids_.push_back(id);
+    ++next->live_count_;
+  } else {
+    next->alive_[id] = 0;
+    --next->live_count_;
   }
 
   PublishLocked(std::move(next));
@@ -327,7 +291,6 @@ Status DynamicSeOracle::CompactLocked() {
   std::vector<SurfacePoint> live_points;
   {
     std::lock_guard<std::mutex> lock(merge_mu_);
-    TSO_RETURN_IF_ERROR(MergeLocked(nullptr));
     const DynamicSnapshot* snap = Current();
     const uint32_t n = static_cast<uint32_t>(snap->num_ids());
     live_ids.reserve(snap->num_live());
@@ -369,11 +332,10 @@ Status DynamicSeOracle::CompactLocked() {
   // reader-visible snapshot) is untouched, and a later compaction retries.
   TSO_FAILPOINT("dyn.compact.publish");
 
-  // Publish: fold writes that landed during the rebuild, then swap the base
-  // under the same epoch protocol as every other publish.
+  // Publish: carry over writes that landed during the rebuild, then swap
+  // the base under the same epoch protocol as every other publish.
   {
     std::lock_guard<std::mutex> lock(merge_mu_);
-    TSO_RETURN_IF_ERROR(MergeLocked(nullptr));
     const DynamicSnapshot* old = Current();
     const uint32_t n = static_cast<uint32_t>(old->num_ids());
 
@@ -408,8 +370,8 @@ Status DynamicSeOracle::CompactLocked() {
   return Status::Ok();
 }
 
-Status DynamicSeOracle::MaybeCompact() {
-  if (mesh_ == nullptr || solver_ == nullptr) return Status::Ok();
+void DynamicSeOracle::MaybeCompact() {
+  if (mesh_ == nullptr || solver_ == nullptr) return;
   size_t delta = 0;
   size_t live = 0;
   {
@@ -423,38 +385,17 @@ Status DynamicSeOracle::MaybeCompact() {
       std::max<size_t>(
           4, static_cast<size_t>(options_.compaction_ratio *
                                  static_cast<double>(live))));
-  if (delta <= threshold) return Status::Ok();
+  if (delta <= threshold) return;
   std::unique_lock<std::mutex> lock(compact_mu_, std::try_to_lock);
-  if (!lock.owns_lock()) return Status::Ok();  // a compaction is in flight
-  return CompactLocked();
+  if (!lock.owns_lock()) return;  // a compaction is in flight
+  // A failed compaction publishes nothing; the write that triggered it has
+  // already published, so it must still report success.
+  (void)CompactLocked();
 }
 
 StatusOr<double> DynamicSeOracle::Distance(uint32_t s, uint32_t t) const {
   EpochDomain::Guard guard = epoch_.Enter();
   return Current()->source().Distance(s, t);
-}
-
-StatusOr<std::vector<KnnResult>> DynamicSeOracle::Knn(
-    uint32_t query, size_t k, uint32_t num_threads) const {
-  EpochDomain::Guard guard = epoch_.Enter();
-  const DynamicSnapshot* snap = Current();
-  if (num_threads == 1) return KnnQuery(snap->source(), query, k);
-  return KnnQueryParallel(snap->source(), query, k, num_threads);
-}
-
-StatusOr<std::vector<uint32_t>> DynamicSeOracle::Range(
-    uint32_t query, double radius, uint32_t num_threads) const {
-  EpochDomain::Guard guard = epoch_.Enter();
-  const DynamicSnapshot* snap = Current();
-  if (num_threads == 1) return RangeQuery(snap->source(), query, radius);
-  return RangeQueryParallel(snap->source(), query, radius, num_threads);
-}
-
-StatusOr<std::vector<double>> DynamicSeOracle::Batch(
-    std::span<const std::pair<uint32_t, uint32_t>> queries,
-    uint32_t num_threads) const {
-  EpochDomain::Guard guard = epoch_.Enter();
-  return DistanceBatch(Current()->source(), queries, num_threads);
 }
 
 bool DynamicSeOracle::IsLive(uint32_t id) const {
@@ -503,7 +444,6 @@ DynamicStats DynamicSeOracle::stats() const {
     s.live_pois = snap->num_live();
     s.num_ids = snap->num_ids();
   }
-  s.oplog_depth = oplog_.ApproxDepth();
   s.epoch = epoch_.stats();
   return s;
 }

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "base/epoch.h"
-#include "dyn/oplog.h"
 #include "oracle/oracle_view.h"
 #include "oracle/se_oracle.h"
 #include "query/batch.h"
@@ -40,11 +39,10 @@ struct DynamicStats {
   uint64_t inserts = 0;
   uint64_t removes = 0;
   uint64_t compactions = 0;   // base rebuilds published
-  uint64_t publishes = 0;     // snapshot swaps (merges + compactions)
+  uint64_t publishes = 0;     // snapshot swaps (writes + compactions)
   size_t delta_size = 0;      // delta rows in the published snapshot
-  size_t oplog_depth = 0;     // records appended but not yet merged
   size_t live_pois = 0;
-  size_t num_ids = 0;         // stable ids allocated (incl. dead + pending)
+  size_t num_ids = 0;         // stable ids published (incl. dead + burned)
   EpochDomain::Stats epoch;   // snapshot grace-period bookkeeping
 };
 
@@ -137,11 +135,11 @@ class DynamicSnapshot final : public DistanceOverlay {
 ///     SeOracle's bytes (Create) or a mapped file (FromView), or any
 ///     DistanceSource such as a PackView's (FromSource) — answers
 ///     base-to-base pairs ε-approximately.
-///   - Delta layer: each Insert runs one SSAD and materializes exact
-///     distances to every live POI, appends the record to a per-thread
-///     oplog (dyn/oplog.h) lock-free, and merges the log into a fresh
-///     immutable snapshot at the publish point. Removes are tombstones.
-///     Queries touching a delta POI are exact lookups.
+///   - Delta layer: each Insert runs one SSAD that materializes exact
+///     distances to every live POI, then folds its own record into a fresh
+///     immutable snapshot and publishes it under merge_mu_. Removes fold a
+///     tombstone the same way. Queries touching a delta POI are exact
+///     lookups.
 ///   - Compaction layer: when the delta outgrows compaction_ratio, the base
 ///     is rebuilt aside over the live set and published through the same
 ///     epoch swap as serving-tier hot reload — queries never block and
@@ -156,6 +154,10 @@ class DynamicSnapshot final : public DistanceOverlay {
 /// SeOracle::Build over the live POIs (ascending stable-id order, same
 /// options) — the delta/compaction machinery never changes answers, only
 /// when they are computed.
+///
+/// Failed writes are determinate: a write that returns an error changed
+/// nothing a query can see. Once a write's publish succeeds it returns Ok,
+/// even if the compaction it then triggers fails.
 ///
 /// Thread safety: all methods are safe to call concurrently. Queries are
 /// wait-free against writers (one epoch guard + an atomic snapshot load —
@@ -193,13 +195,15 @@ class DynamicSeOracle {
 
   /// Adds a POI and returns its stable id. Cost: one SSAD (outside all
   /// locks, on this thread's solver when a factory is configured) + one
-  /// snapshot publish; possibly a compaction. Safe under concurrent queries
-  /// and other writers. On error the allocated id is burned (never reused,
-  /// never live).
+  /// snapshot publish; possibly a compaction (best effort: its failure
+  /// leaves the delta in place for a later write to retry). Safe under
+  /// concurrent queries and other writers. On error the allocated id is
+  /// burned (never reused, never live).
   StatusOr<uint32_t> Insert(const SurfacePoint& poi);
 
   /// Tombstones a live POI; subsequent queries against it return NotFound.
-  /// NotFound if `id` is unknown, pending, or already tombstoned.
+  /// NotFound if `id` is unknown, not yet published, or already tombstoned.
+  /// On error the POI stays live.
   Status Remove(uint32_t id);
 
   /// Forces a compaction: rebuilds the base over the live set aside (no
@@ -211,20 +215,6 @@ class DynamicSeOracle {
   /// ε-approximate distance between live stable ids (exact when either
   /// endpoint is a delta POI). NotFound for dead ids.
   StatusOr<double> Distance(uint32_t s, uint32_t t) const;
-
-  /// k nearest live POIs (query/knn.h semantics; dead ids are skipped).
-  StatusOr<std::vector<KnnResult>> Knn(uint32_t query, size_t k,
-                                       uint32_t num_threads = 1) const;
-
-  /// Live POIs within `radius` (query/range_query.h semantics).
-  StatusOr<std::vector<uint32_t>> Range(uint32_t query, double radius,
-                                        uint32_t num_threads = 1) const;
-
-  /// Bulk distance batch over one pinned snapshot (query/batch.h
-  /// semantics). A pair touching a dead id fails the batch.
-  StatusOr<std::vector<double>> Batch(
-      std::span<const std::pair<uint32_t, uint32_t>> queries,
-      uint32_t num_threads = 0) const;
 
   bool IsLive(uint32_t id) const;
   size_t num_live() const;
@@ -272,10 +262,13 @@ class DynamicSeOracle {
     return snap_.load(std::memory_order_acquire);
   }
 
-  /// Drains the oplog (plus `extra`, if any), folds the records into a
-  /// fresh snapshot, and publishes it. No-op when nothing is pending.
-  /// Requires merge_mu_.
-  Status MergeLocked(const OpRecord* extra);
+  /// Folds one write into a fresh snapshot and publishes it: with `poi`,
+  /// the insert of `id` whose exact `row` (by stable id) covers the ids
+  /// live in the snapshot its SSAD started from — extended here to ids
+  /// published since; without, the tombstone of live `id`. On error
+  /// nothing is published. Requires merge_mu_.
+  Status MergeLocked(uint32_t id, const SurfacePoint* poi,
+                     std::vector<double> row);
 
   /// Publishes `next` (source wired, epoch-swapped, old snapshot retired).
   /// Requires merge_mu_.
@@ -286,8 +279,9 @@ class DynamicSeOracle {
 
   /// Compacts when the published delta exceeds the configured threshold and
   /// no other compaction is in flight (try-lock: a concurrent compaction
-  /// will re-evaluate the threshold on the next write anyway).
-  Status MaybeCompact();
+  /// will re-evaluate the threshold on the next write anyway). Best effort:
+  /// a failed compaction publishes nothing and the next write re-checks.
+  void MaybeCompact();
 
   /// Exact distances from `source_point` to every target, via this thread's
   /// factory solver or the shared solver under solver_mu_.
@@ -305,7 +299,6 @@ class DynamicSeOracle {
 
   mutable EpochDomain epoch_;
   std::atomic<DynamicSnapshot*> snap_{nullptr};
-  OpLog oplog_;
   std::mutex merge_mu_;    // serializes publish points (never queries)
   std::mutex compact_mu_;  // one compaction at a time
   std::mutex solver_mu_;   // guards solver_ when no factory is configured

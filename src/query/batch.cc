@@ -135,7 +135,7 @@ StatusOr<std::vector<uint32_t>> RangeQueryParallel(
   if (query >= source.num_pois()) {
     return Status::InvalidArgument("query POI out of range");
   }
-  if (radius < 0.0) return Status::InvalidArgument("radius must be >= 0");
+  if (!(radius >= 0.0)) return Status::InvalidArgument("radius must be >= 0");
   if (!source.IsLive(query)) {
     return Status::NotFound("query POI id is not live");
   }

@@ -9,7 +9,8 @@ StatusOr<std::vector<uint32_t>> RangeQuery(const DistanceSource& source,
   if (query >= source.num_pois()) {
     return Status::InvalidArgument("query POI out of range");
   }
-  if (radius < 0.0) return Status::InvalidArgument("radius must be >= 0");
+  // Written so NaN fails too; +inf passes and returns every live POI.
+  if (!(radius >= 0.0)) return Status::InvalidArgument("radius must be >= 0");
   if (!source.IsLive(query)) {
     return Status::NotFound("query POI id is not live");
   }

@@ -10,7 +10,8 @@ namespace tso {
 
 /// All POIs whose ε-approximate geodesic distance from POI `query` is at
 /// most `radius` (geodesic range query, §1.2). Sorted by distance.
-/// `query` itself is excluded.
+/// `query` itself is excluded. InvalidArgument for a negative or NaN
+/// radius; +inf returns every live POI.
 ///
 /// Written once against DistanceSource (query/engine.h); every oracle
 /// representation answers through MakeSource.

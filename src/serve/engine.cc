@@ -70,10 +70,9 @@ const char* ServeHealthName(ServeHealth health) {
 /// PackView's shard vector). The struct is never moved after construction,
 /// so those internal borrows stay valid for its whole lifetime.
 ///
-/// A mutable generation sets `dyn` instead: `source` is left empty (the
-/// dynamic oracle pins a fresh snapshot per query — a State-lifetime source
-/// would go stale at the first merge) and queries forward to the oracle's
-/// own query surface.
+/// A mutable generation sets `dyn` instead: `source` is left empty (a
+/// State-lifetime source would go stale at the first publish) and each
+/// query pins the dynamic oracle's current snapshot through Resolve().
 struct ServeEngine::State {
   std::optional<PackView> pack;
   std::optional<OracleView> flat;
@@ -82,6 +81,15 @@ struct ServeEngine::State {
   uint32_t num_shards = 0;
   uint32_t degraded_shards = 0;
   size_t mapped_bytes = 0;
+
+  /// The source one query reads: `source`, or a pin of the hosted dynamic
+  /// oracle's current snapshot, held in `*pin` so the whole query reads
+  /// that one snapshot.
+  const DistanceSource& Resolve(
+      std::optional<DynamicSeOracle::PinnedSource>* pin) const {
+    if (dyn == nullptr) return source;
+    return pin->emplace(dyn->Pin()).source();
+  }
 };
 
 ServeEngine::~ServeEngine() {
@@ -265,10 +273,9 @@ StatusOr<std::vector<double>> ServeEngine::Batch(
   EpochDomain::Guard guard = epoch_.Enter();
   const State* state = Pinned();
   if (state == nullptr) return Status::FailedPrecondition("no oracle loaded");
-  if (!timer.enabled()) {
-    if (state->dyn != nullptr) return state->dyn->Batch(queries, num_threads);
-    return DistanceBatch(state->source, queries, num_threads);
-  }
+  std::optional<DynamicSeOracle::PinnedSource> pin;
+  const DistanceSource& source = state->Resolve(&pin);
+  if (!timer.enabled()) return DistanceBatch(source, queries, num_threads);
   // Deadline mode: chunk so a huge batch can stop near the budget instead
   // of overrunning it by the whole remaining batch.
   std::vector<double> out;
@@ -277,10 +284,7 @@ StatusOr<std::vector<double>> ServeEngine::Batch(
     if (timer.Exceeded()) return DeadlineError(&deadline_exceeded_);
     const size_t n = std::min(kDeadlineChunk, queries.size() - off);
     StatusOr<std::vector<double>> part =
-        state->dyn != nullptr
-            ? state->dyn->Batch(queries.subspan(off, n), num_threads)
-            : DistanceBatch(state->source, queries.subspan(off, n),
-                            num_threads);
+        DistanceBatch(source, queries.subspan(off, n), num_threads);
     if (!part.ok()) return part.status();
     out.insert(out.end(), part->begin(), part->end());
   }
@@ -298,12 +302,9 @@ StatusOr<std::vector<KnnResult>> ServeEngine::Knn(
   EpochDomain::Guard guard = epoch_.Enter();
   const State* state = Pinned();
   if (state == nullptr) return Status::FailedPrecondition("no oracle loaded");
+  std::optional<DynamicSeOracle::PinnedSource> pin;
   StatusOr<std::vector<KnnResult>> result =
-      state->dyn != nullptr
-          ? state->dyn->Knn(query, k, num_threads)
-          : (num_threads == 1
-                 ? KnnQuery(state->source, query, k)
-                 : KnnQueryParallel(state->source, query, k, num_threads));
+      KnnQueryParallel(state->Resolve(&pin), query, k, num_threads);
   if (result.ok() && timer.Exceeded()) {
     return DeadlineError(&deadline_exceeded_);
   }
@@ -320,13 +321,9 @@ StatusOr<std::vector<uint32_t>> ServeEngine::Range(
   EpochDomain::Guard guard = epoch_.Enter();
   const State* state = Pinned();
   if (state == nullptr) return Status::FailedPrecondition("no oracle loaded");
+  std::optional<DynamicSeOracle::PinnedSource> pin;
   StatusOr<std::vector<uint32_t>> result =
-      state->dyn != nullptr
-          ? state->dyn->Range(query, radius, num_threads)
-          : (num_threads == 1
-                 ? RangeQuery(state->source, query, radius)
-                 : RangeQueryParallel(state->source, query, radius,
-                                      num_threads));
+      RangeQueryParallel(state->Resolve(&pin), query, radius, num_threads);
   if (result.ok() && timer.Exceeded()) {
     return DeadlineError(&deadline_exceeded_);
   }

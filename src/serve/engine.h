@@ -110,10 +110,10 @@ class ServeEngine {
   /// carry the file path and the root cause.
   Status Load(const std::string& path);
 
-  /// Publishes a mutable generation: queries route to the dynamic oracle
-  /// (which applies its own snapshot pinning), so the engine serves
-  /// consistent answers while writer threads insert/remove POIs and
-  /// compactions republish the base underneath. Shares ownership with the
+  /// Publishes a mutable generation: each query pins the dynamic oracle's
+  /// current snapshot and reads only it, so the engine serves consistent
+  /// answers while writer threads insert/remove POIs and compactions
+  /// republish the base underneath. Shares ownership with the
   /// caller's writers. A later Load()/Host() retires the generation like
   /// any other; the dynamic oracle itself outlives retirement as long as
   /// the caller holds its shared_ptr.
@@ -137,9 +137,10 @@ class ServeEngine {
                             const QueryOptions& options = {}) const;
 
   /// Bulk distance batch (query/batch.h semantics; num_threads == 0 means
-  /// hardware concurrency). One epoch guard spans the whole batch. Under a
-  /// deadline the batch runs in chunks and stops at the first chunk
-  /// boundary past the budget.
+  /// hardware concurrency). One epoch guard, and for a hosted dynamic
+  /// oracle one pinned snapshot, spans the whole batch. Under a deadline
+  /// the batch runs in chunks and stops at the first chunk boundary past
+  /// the budget.
   StatusOr<std::vector<double>> Batch(
       std::span<const std::pair<uint32_t, uint32_t>> queries,
       uint32_t num_threads = 0, const QueryOptions& options = {}) const;

@@ -3,6 +3,7 @@
 // no data races (this suite is the target of the ThreadSanitizer CI job).
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -176,7 +177,8 @@ TEST(Concurrency, ParallelKnnMatchesSerial) {
 
 TEST(Concurrency, ParallelRangeMatchesSerial) {
   const SharedOracle& fx = Fx();
-  for (double radius : {0.0, 300.0, 1000.0, 1e12}) {
+  for (double radius :
+       {0.0, 300.0, 1000.0, 1e12, std::numeric_limits<double>::infinity()}) {
     StatusOr<std::vector<uint32_t>> serial =
         RangeQuery(MakeSource(*fx.oracle), 3, radius);
     StatusOr<std::vector<uint32_t>> parallel =
@@ -185,6 +187,12 @@ TEST(Concurrency, ParallelRangeMatchesSerial) {
     EXPECT_EQ(*parallel, *serial) << "radius=" << radius;
   }
   EXPECT_FALSE(RangeQueryParallel(MakeSource(*fx.oracle), 0, -1.0, kThreads).ok());
+  // NaN fails every comparison, so it must be rejected, not read as empty.
+  EXPECT_EQ(RangeQueryParallel(MakeSource(*fx.oracle), 0,
+                               std::numeric_limits<double>::quiet_NaN(), 4)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
   EXPECT_FALSE(RangeQueryParallel(MakeSource(*fx.oracle), 9999, 1.0, kThreads).ok());
 }
 

@@ -1,7 +1,7 @@
 // The dynamic-oracle hammer (the TSan CI target for the mutable stack):
 // 6 reader threads sweep random stable-id pairs through pinned snapshots
 // while 2 writer threads churn inserts/removes hard enough to force
-// hundreds of log merges and >100 background compactions. Readers must
+// hundreds of publishes and >100 background compactions. Readers must
 // never observe a failed or torn answer; after the writers quiesce, a final
 // compaction must leave the oracle bit-identical to a from-scratch static
 // build over the surviving POI set.
@@ -133,7 +133,8 @@ TEST(DynHammer, ReadWriteCompactHammer) {
   DynamicStats mid = dyn.stats();
   EXPECT_GE(mid.compactions, 100u) << "churn did not exercise compaction";
   EXPECT_EQ(mid.inserts, kWriters * kInsertsPerWriter);
-  EXPECT_EQ(mid.oplog_depth, 0u);
+  // Each writer keeps exactly its last kLivePerWriter inserts live.
+  EXPECT_EQ(mid.live_pois, ds->n() + kWriters * kLivePerWriter);
 
   // Quiesce + final compaction, then the bit-identical sweep: the dynamic
   // oracle must answer exactly like a from-scratch static build over the
@@ -167,13 +168,13 @@ TEST(DynHammer, ReadWriteCompactHammer) {
 }
 
 // The fault-injection variant: while readers run the same pinned-snapshot
-// consistency probe, error failpoints are pulsed on the oplog merge and the
-// compaction publish paths. An injected failure may fail a WRITE (the
-// writer sees the error and treats that op's outcome as indeterminate —
-// merge-after-append means a "failed" insert can still fold later), but it
-// must never fail a READ, tear a snapshot, or leave a successfully removed
-// stable id answering: the failed merge consumes nothing and the failed
-// compaction discards only its aside-built base.
+// consistency probe, error failpoints are pulsed on the write fold and the
+// compaction publish paths. An injected failure may fail a WRITE, and a
+// failed write is determinate — it changed nothing: a failed insert's id
+// never goes live and a failed remove leaves its POI live. It must never
+// fail a READ, tear a snapshot, or leave a successfully removed stable id
+// answering: the failed fold publishes nothing and the failed compaction
+// discards only its aside-built base.
 TEST(DynHammer, InjectedMergeAndCompactFailuresAreInvisibleToReaders) {
   failpoint::DisarmAll();
   StatusOr<Dataset> ds =
@@ -206,6 +207,8 @@ TEST(DynHammer, InjectedMergeAndCompactFailuresAreInvisibleToReaders) {
   std::atomic<size_t> wrong_answers{0};
   std::vector<uint32_t> expect_live;  // writer-owned; read after join
   std::vector<uint32_t> expect_dead;
+  size_t inserts_ok = 0;  // successful writes; writer-owned
+  size_t removes_ok = 0;
 
   auto injected = [](const Status& status) {
     return status.message().find("failpoint") != std::string::npos;
@@ -217,19 +220,19 @@ TEST(DynHammer, InjectedMergeAndCompactFailuresAreInvisibleToReaders) {
     for (const SurfacePoint& p : pool) {
       StatusOr<uint32_t> id = dyn.Insert(p);
       if (!id.ok()) {
-        // Indeterminate: the record is appended before the merge, so an
-        // injected merge failure can surface as an Insert error whose op
-        // still folds later. Only unexpected (non-injected) errors count
-        // against the test.
+        // A failed insert publishes nothing. Only unexpected (non-injected)
+        // errors count against the test.
         if (!injected(id.status())) ++unexpected_write_errors;
         continue;
       }
+      ++inserts_ok;
       window.push_back(*id);
       if (window.size() > 5) {
         const uint32_t victim = window.front();
         window.pop_front();
         const Status removed = dyn.Remove(victim);
         if (removed.ok()) {
+          ++removes_ok;
           expect_dead.push_back(victim);
           // The stale-id probe: a successful Remove must be immediately
           // visible — the id answers NotFound from this moment on.
@@ -237,10 +240,11 @@ TEST(DynHammer, InjectedMergeAndCompactFailuresAreInvisibleToReaders) {
           if (gone.ok() || gone.status().code() != StatusCode::kNotFound) {
             ++stale_after_remove;
           }
-        } else if (!injected(removed)) {
-          ++unexpected_write_errors;
+        } else {
+          // A failed remove leaves the POI live for good (never retried).
+          expect_live.push_back(victim);
+          if (!injected(removed)) ++unexpected_write_errors;
         }
-        // Injected-failure removes are indeterminate: skip the id.
       }
       if (++ops % 7 == 0) {
         const Status compacted = dyn.Compact();
@@ -253,7 +257,7 @@ TEST(DynHammer, InjectedMergeAndCompactFailuresAreInvisibleToReaders) {
         }
       }
     }
-    expect_live.assign(window.begin(), window.end());
+    expect_live.insert(expect_live.end(), window.begin(), window.end());
     writer_done.store(true, std::memory_order_release);
   });
 
@@ -309,10 +313,11 @@ TEST(DynHammer, InjectedMergeAndCompactFailuresAreInvisibleToReaders) {
   EXPECT_GT(merge_faults + compact_faults, 0u)
       << "the pulses never landed: the run was vacuous";
 
-  // With the seams disarmed the oracle heals completely: the log drains,
-  // determinate ops are all visible, and removed ids stay dead.
+  // With the seams disarmed a compaction succeeds, every successful write
+  // is visible, no failed one is, and removed ids stay dead.
   ASSERT_TRUE(dyn.Compact().ok());
-  EXPECT_EQ(dyn.stats().oplog_depth, 0u);
+  EXPECT_EQ(dyn.num_live(), ds->n() + inserts_ok - removes_ok);
+  EXPECT_EQ(expect_live.size(), inserts_ok - removes_ok);
   for (const uint32_t id : expect_live) {
     EXPECT_TRUE(dyn.IsLive(id)) << id;
     EXPECT_TRUE(dyn.Distance(id, 0).ok()) << id;

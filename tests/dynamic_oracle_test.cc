@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/failpoint.h"
 #include "geodesic/mmp_solver.h"
 #include "oracle/oracle_serde.h"
 #include "terrain/dataset.h"
@@ -284,12 +285,14 @@ TEST(DynamicOracle, QueryEnginesRunOverPinnedSnapshot) {
   EXPECT_EQ(source.Distance(2, ids[0]).status().code(),
             StatusCode::kNotFound);
 
-  // Convenience wrappers route through the same engines.
-  StatusOr<std::vector<KnnResult>> knn2 = oracle->Knn(ids[0], 5);
+  // A fresh pin per call answers like the held one.
+  StatusOr<std::vector<KnnResult>> knn2 =
+      KnnQuery(MakeSource(*oracle), ids[0], 5);
   ASSERT_TRUE(knn2.ok());
   EXPECT_EQ((*knn2)[0].poi, (*knn)[0].poi);
   std::vector<std::pair<uint32_t, uint32_t>> pairs = {{0, 1}, {ids[0], 3}};
-  StatusOr<std::vector<double>> batch = oracle->Batch(pairs, 2);
+  StatusOr<std::vector<double>> batch =
+      DistanceBatch(MakeSource(*oracle), pairs, 2);
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ((*batch)[0], *oracle->Distance(0, 1));
   EXPECT_EQ((*batch)[1], *oracle->Distance(ids[0], 3));
@@ -364,6 +367,49 @@ TEST(DynamicOracle, FromSourceMountSupportsChurn) {
   EXPECT_TRUE((*dyn)->Distance(*id, 3).ok());
 }
 
+// A failed write changes nothing: the "dyn.merge" failpoint fires before
+// the fold, so a failed Insert burns its id without ever making it live,
+// and a failed Remove leaves its POI live for a retry.
+TEST(DynamicOracle, FailedWritesAreDeterminate) {
+  failpoint::DisarmAll();
+  DynFixture fx(29);
+  std::unique_ptr<DynamicSeOracle> oracle = fx.BuildDyn(0.1, /*ratio=*/10.0);
+  Rng rng(41);
+  std::vector<SurfacePoint> extra =
+      GenerateUniformPois(*fx.ds->mesh, *fx.ds->locator, 2, rng);
+  const size_t base = fx.ds->n();
+  const uint32_t burned = static_cast<uint32_t>(oracle->num_ids());
+
+  ASSERT_TRUE(failpoint::Arm("dyn.merge", "1*error").ok());
+  StatusOr<uint32_t> failed = oracle->Insert(extra[0]);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.status().message().find("dyn.merge"), std::string::npos);
+  EXPECT_FALSE(oracle->IsLive(burned));
+  EXPECT_EQ(oracle->num_live(), base);
+
+  StatusOr<uint32_t> inserted = oracle->Insert(extra[1]);
+  ASSERT_TRUE(inserted.ok());
+  EXPECT_EQ(*inserted, burned + 1);  // the burned id is never reused
+  EXPECT_FALSE(oracle->IsLive(burned));
+  EXPECT_EQ(oracle->Distance(burned, 0).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(oracle->num_live(), base + 1);
+  ASSERT_TRUE(oracle->Compact().ok());
+  EXPECT_FALSE(oracle->IsLive(burned));
+  EXPECT_EQ(oracle->num_live(), base + 1);
+
+  ASSERT_TRUE(failpoint::Arm("dyn.merge", "1*error").ok());
+  EXPECT_FALSE(oracle->Remove(*inserted).ok());
+  EXPECT_TRUE(oracle->IsLive(*inserted));
+  EXPECT_TRUE(oracle->Distance(*inserted, 0).ok());
+  EXPECT_EQ(oracle->num_live(), base + 1);
+  ASSERT_TRUE(oracle->Remove(*inserted).ok());
+  EXPECT_FALSE(oracle->IsLive(*inserted));
+  EXPECT_EQ(oracle->num_live(), base);
+  EXPECT_EQ(failpoint::Triggered("dyn.merge"), 2u);
+  failpoint::DisarmAll();
+}
+
 TEST(DynamicOracle, InvalidIdsRejected) {
   DynFixture fx(15);
   std::unique_ptr<DynamicSeOracle> oracle = fx.BuildDyn();
@@ -385,7 +431,7 @@ TEST(DynamicOracle, SizeAccountsForDelta) {
   const DynamicStats stats = oracle->stats();
   EXPECT_EQ(stats.inserts, 3u);
   EXPECT_EQ(stats.delta_size, 3u);
-  EXPECT_EQ(stats.oplog_depth, 0u);  // everything merged at publish points
+  EXPECT_EQ(stats.num_ids, fx.ds->n() + 3);  // every allocated id published
   EXPECT_EQ(stats.live_pois, fx.ds->n() + 3);
   EXPECT_GE(stats.publishes, 3u);
 }

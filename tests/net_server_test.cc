@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -157,11 +158,20 @@ TEST(TsodServer, EndToEndBitIdenticalAnswers) {
   StatusOr<std::vector<uint32_t>> range = client.Range(3, radius);
   ASSERT_TRUE(range.ok());
   EXPECT_EQ(*range, *engine.Range(3, radius));
+  StatusOr<std::vector<uint32_t>> everything =
+      client.Range(3, std::numeric_limits<double>::infinity());
+  ASSERT_TRUE(everything.ok());
+  EXPECT_EQ(everything->size(), n - 1);
 
   // Application errors are status-coded responses on a live connection.
   StatusOr<double> bad = client.Distance(n + 100, 0);
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  // NaN fails every comparison, so a NaN radius must be rejected, not
+  // answered as an empty range.
+  EXPECT_EQ(
+      client.Range(3, std::numeric_limits<double>::quiet_NaN()).status().code(),
+      StatusCode::kInvalidArgument);
   EXPECT_TRUE(client.connected());
   EXPECT_TRUE(client.Distance(0, 1).ok());  // same connection still serves
 

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -172,13 +173,22 @@ TEST(Range, ZeroRadiusEmpty) {
 TEST(Range, NegativeRadiusRejected) {
   QueryFixture fx;
   EXPECT_FALSE(RangeQuery(MakeSource(*fx.oracle), 0, -1.0).ok());
+  // NaN fails every comparison, so it must be rejected, not read as empty.
+  EXPECT_EQ(RangeQuery(MakeSource(*fx.oracle), 0,
+                       std::numeric_limits<double>::quiet_NaN())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(Range, HugeRadiusReturnsAll) {
   QueryFixture fx;
-  StatusOr<std::vector<uint32_t>> hits = RangeQuery(MakeSource(*fx.oracle), 0, 1e12);
-  ASSERT_TRUE(hits.ok());
-  EXPECT_EQ(hits->size(), fx.oracle->num_pois() - 1);
+  for (double radius : {1e12, std::numeric_limits<double>::infinity()}) {
+    StatusOr<std::vector<uint32_t>> hits =
+        RangeQuery(MakeSource(*fx.oracle), 0, radius);
+    ASSERT_TRUE(hits.ok());
+    EXPECT_EQ(hits->size(), fx.oracle->num_pois() - 1) << radius;
+  }
 }
 
 }  // namespace

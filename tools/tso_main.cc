@@ -235,7 +235,7 @@ inspect options:
                                 prints one summary line per shard; both
                                 modes verify every checksum)
   --dynamic                     additionally mount the dynamic layer and
-                                report its stats (delta, oplog, epoch)
+                                report its stats (delta, writes, epoch)
   --churn N                     with --dynamic: tombstone N random live POIs
                                 first, so the reported delta/epoch state is
                                 non-trivial (seeded by --seed)
@@ -647,8 +647,8 @@ void PrintDynamicStats(const DynamicSeOracle& dyn) {
   const DynamicStats s = dyn.stats();
   std::printf(
       "  dynamic: %zu live POIs / %zu stable ids, delta %zu rows, "
-      "oplog %zu pending, eps=%.3g\n",
-      s.live_pois, s.num_ids, s.delta_size, s.oplog_depth, dyn.epsilon());
+      "eps=%.3g\n",
+      s.live_pois, s.num_ids, s.delta_size, dyn.epsilon());
   std::printf(
       "  writes:  %llu inserts, %llu removes, %llu compactions, "
       "%llu publishes\n",
@@ -1343,7 +1343,7 @@ int CmdInspect(const Args& args) {
   if (rc != 0 || !args.dynamic) return rc;
 
   // --dynamic: mount the log-structured layer on the (now validated) file
-  // and report its delta/oplog/epoch state, optionally after seeded churn.
+  // and report its delta/epoch state, optionally after seeded churn.
   StatusOr<DynamicMount> mount = MountDynamic(args.oracle_path);
   if (!mount.ok()) {
     std::fprintf(stderr, "tso: mount: %s\n",
