@@ -34,6 +34,7 @@
 #include "net/server.h"
 #include "oracle/pack_view.h"
 #include "query/batch.h"
+#include "query/knn.h"
 #include "serve/engine.h"
 #include "terrain/poi_generator.h"
 
@@ -321,16 +322,18 @@ int Run() {
   }
 
   // --- Workload 1c: deterministic probe counters ---
-  // The same serial sweep under a ProbeCounterScope. Each query probes its
-  // §3.4 candidates in order and stops at the first stored pair, so the
-  // counts depend only on the oracle and the query prefix — the CI gate
-  // pins them with zero tolerance.
+  // The same serial sweep under a ProbeCounterScope, then serial k = 10
+  // kNN queries from the first POIs. Each P2P query probes its §3.4
+  // candidates from the leaf layer up and stops at the first stored pair,
+  // so the counts depend only on the oracle and the query prefixes — the
+  // CI gate pins them with zero tolerance.
   {
     const size_t pc_queries = std::min<size_t>(pairs.size(), Scaled(20000));
+    const uint32_t pc_knn_queries = std::min<uint32_t>(ds->n(), 20);
+    const DistanceSource pc_source = MakeSource(*oracle);
     ProbeCounters counters;
     {
       ProbeCounterScope scope(&counters);
-      const DistanceSource pc_source = MakeSource(*oracle);
       QueryScratch pc_scratch;
       for (size_t i = 0; i < pc_queries; ++i) {
         TSO_CHECK(
@@ -338,18 +341,28 @@ int Run() {
                 .ok());
       }
     }
+    ProbeCounters knn_counters;
+    {
+      ProbeCounterScope scope(&knn_counters);
+      for (uint32_t q = 0; q < pc_knn_queries; ++q) {
+        TSO_CHECK(KnnQuery(pc_source, q, 10).ok());
+      }
+    }
     std::printf(
         "probe_counters: %zu queries, %llu probes (%llu hits), %llu "
-        "prefetches\n",
+        "prefetches; %u kNN queries, %llu probes\n",
         pc_queries, static_cast<unsigned long long>(counters.probes),
         static_cast<unsigned long long>(counters.hits),
-        static_cast<unsigned long long>(counters.prefetches));
+        static_cast<unsigned long long>(counters.prefetches), pc_knn_queries,
+        static_cast<unsigned long long>(knn_counters.probes));
     BenchJson("throughput")
         .Str("workload", "probe_counters")
         .Int("queries", pc_queries)
         .Int("probes", counters.probes)
         .Int("hits", counters.hits)
         .Int("prefetches", counters.prefetches)
+        .Int("knn_queries", pc_knn_queries)
+        .Int("knn_probes", knn_counters.probes)
         .Emit();
   }
 
@@ -442,8 +455,10 @@ int Run() {
   // snapshots. The op script is single-writer, so the insert/remove/
   // compaction counters are exactly reproducible at a fixed scale — the CI
   // gate pins them with zero tolerance; only the read throughput gets a
-  // loose wall-clock floor. Each reader times itself, so `qps` divides the
-  // reads by the slowest reader's time, not by the writer's.
+  // loose wall-clock floor. Each reader reads until the writer's script
+  // ends, and at least `reads_per_thread` times, so the reads price
+  // sustained churn; each reader times itself, and `qps` divides all reads
+  // by the slowest reader's time.
   const uint32_t dyn_base_n = std::min<uint32_t>(ds->n(), Scaled(200));
   std::vector<SurfacePoint> dyn_base(ds->pois.begin(),
                                      ds->pois.begin() + dyn_base_n);
@@ -464,15 +479,20 @@ int Run() {
   constexpr uint32_t kDynReaders = 4;
   const size_t reads_per_thread = Scaled(40000);
   std::atomic<uint64_t> dyn_bad{0};
+  std::atomic<bool> writer_done{false};
   std::vector<double> reader_seconds(kDynReaders);
+  std::vector<size_t> reader_reads(kDynReaders);
   std::vector<std::thread> dyn_readers;
   dyn_readers.reserve(kDynReaders);
   for (uint32_t r = 0; r < kDynReaders; ++r) {
-    dyn_readers.emplace_back([&dyn, &dyn_bad, &reader_seconds,
-                              reads_per_thread, r]() {
+    dyn_readers.emplace_back([&dyn, &dyn_bad, &writer_done, &reader_seconds,
+                              &reader_reads, reads_per_thread, r]() {
       WallTimer reader_timer;
       uint64_t lcg = 0x9e3779b97f4a7c15ull + r;
-      for (size_t i = 0; i < reads_per_thread; ++i) {
+      size_t i = 0;
+      for (; i < reads_per_thread ||
+             !writer_done.load(std::memory_order_acquire);
+           ++i) {
         lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
         DynamicSeOracle::PinnedSource pinned = dyn.Pin();
         const uint32_t n =
@@ -487,6 +507,7 @@ int Run() {
         }
       }
       reader_seconds[r] = reader_timer.ElapsedSeconds();
+      reader_reads[r] = i;
     });
   }
 
@@ -504,23 +525,25 @@ int Run() {
     }
   }
   const double writer_seconds = writer_timer.ElapsedSeconds();
+  writer_done.store(true, std::memory_order_release);
   for (std::thread& reader : dyn_readers) reader.join();
   const double dyn_seconds =
       *std::max_element(reader_seconds.begin(), reader_seconds.end());
   TSO_CHECK(dyn_bad.load() == 0);
 
   const DynamicStats dyn_stats = dyn.stats();
-  const size_t dyn_reads = kDynReaders * reads_per_thread;
+  size_t dyn_reads = 0;
+  for (size_t reads : reader_reads) dyn_reads += reads;
   const double dyn_qps = dyn_reads / dyn_seconds;
   std::printf(
       "dyn_mixed: base n=%u, %zu ops (%llu inserts / %llu removes, "
-      "%llu compactions) in %.2fs, %zu reads x%u threads in %.2fs "
+      "%llu compactions) in %.2fs, %zu reads on %u threads in %.2fs "
       "(%.0f qps)\n",
       dyn_base_n, dyn_ops,
       static_cast<unsigned long long>(dyn_stats.inserts),
       static_cast<unsigned long long>(dyn_stats.removes),
       static_cast<unsigned long long>(dyn_stats.compactions), writer_seconds,
-      reads_per_thread, kDynReaders, dyn_seconds, dyn_qps);
+      dyn_reads, kDynReaders, dyn_seconds, dyn_qps);
   BenchJson("throughput")
       .Str("workload", "dyn_mixed")
       .Int("threads", kDynReaders)

@@ -6,11 +6,11 @@
 namespace tso {
 
 /// Deterministic counters for the query's probe path. A probe is one
-/// NodePairSetView::Lookup; the §3.4 query probes its candidates in order
-/// and stops at the first stored pair, so `probes` per query is the 1-based
-/// position of that pair in the candidate sequence and `hits` is exactly
-/// one per answered query. The counts depend only on the oracle and the
-/// queries, never on the machine, which is what lets
+/// NodePairSetView::Lookup; the §3.4 query probes its candidates from the
+/// leaf layer up and stops at the first stored pair, so `probes` per query
+/// is the 1-based position of that pair in the candidate sequence and
+/// `hits` is exactly one per answered query. The counts depend only on the
+/// oracle and the queries, never on the machine, which is what lets
 /// bench/baselines/ci-tiny.json gate them with tolerance 0.
 struct ProbeCounters {
   uint64_t probes = 0;      ///< node-pair records probed

@@ -16,43 +16,40 @@ Status NoPairFound(bool unavailable) {
       "unique node pair match property violated: no pair found");
 }
 
-/// Visits the §3.4 candidate pairs <O, O'> (O in A_s, O' in A_t) in probe
-/// order — pass 1 (same layer), pass 2 (first-higher), pass 3 (first-lower)
-/// — and returns true at the first one for which `probe(O, O')` returns
-/// true; false once the sequence is exhausted. Candidates are generated on
-/// the fly from the ancestor arrays and tree nodes, so nothing is buffered
-/// and nothing past the matching pair is touched.
+/// Visits the §3.4 candidate pairs <O, O'> (O in A_s, O' in A_t) from the
+/// leaf layer up and returns true at the first one for which `probe(O, O')`
+/// returns true; false once the sequence is exhausted. At each layer i it
+/// probes the same-layer pair, then the first-higher pairs <A_s[k], A_t[i]>
+/// and the first-lower pairs <A_s[i], A_t[k]>, where by Observation 1 k runs
+/// from i − 1 down to the layer of the parent of the layer-i node. By the
+/// unique node pair match property exactly one candidate is stored, so the
+/// order sets only the cost; SE stores mostly low-layer pairs, so leaves
+/// first finds the match early. Candidates are generated on the fly from
+/// the ancestor arrays and tree nodes, so nothing is buffered and nothing
+/// past the matching pair is touched.
 template <typename Probe>
 bool ForEachCandidate(const CompressedTreeView& tree,
                       std::span<const uint32_t> as,
                       std::span<const uint32_t> at, Probe&& probe) {
-  const int h = tree.height();
-  // Pass 1: same-layer pairs.
-  for (int i = 0; i <= h; ++i) {
-    if (as[i] != kInvalidId && at[i] != kInvalidId && probe(as[i], at[i])) {
-      return true;
-    }
-  }
-  // Pass 2: first-higher-layer pairs <O, O'> with Layer(O) < Layer(O'),
-  // O in A_s, O' in A_t. By Observation 1 the candidate layers k for O are
-  // [Layer(parent(O')), Layer(O')).
-  for (int i = 1; i <= h; ++i) {
-    const uint32_t ot = at[i];
-    if (ot == kInvalidId) continue;
-    const uint32_t parent = tree.node(ot).parent;
-    if (parent == kInvalidId) continue;
-    for (int k = tree.node(parent).layer; k < i; ++k) {
-      if (as[k] != kInvalidId && probe(as[k], ot)) return true;
-    }
-  }
-  // Pass 3: first-lower-layer pairs (symmetric).
-  for (int i = 1; i <= h; ++i) {
+  // The lowest layer k paired with the layer-i node o (Observation 1);
+  // i, an empty range, at the root.
+  auto parent_layer = [&](uint32_t o, int i) {
+    const uint32_t parent = tree.node(o).parent;
+    return parent == kInvalidId ? i : int{tree.node(parent).layer};
+  };
+  for (int i = tree.height(); i >= 0; --i) {
     const uint32_t os = as[i];
-    if (os == kInvalidId) continue;
-    const uint32_t parent = tree.node(os).parent;
-    if (parent == kInvalidId) continue;
-    for (int k = tree.node(parent).layer; k < i; ++k) {
-      if (at[k] != kInvalidId && probe(os, at[k])) return true;
+    const uint32_t ot = at[i];
+    if (os != kInvalidId && ot != kInvalidId && probe(os, ot)) return true;
+    if (ot != kInvalidId) {
+      for (int k = i - 1, lo = parent_layer(ot, i); k >= lo; --k) {
+        if (as[k] != kInvalidId && probe(as[k], ot)) return true;
+      }
+    }
+    if (os != kInvalidId) {
+      for (int k = i - 1, lo = parent_layer(os, i); k >= lo; --k) {
+        if (at[k] != kInvalidId && probe(os, at[k])) return true;
+      }
     }
   }
   return false;

@@ -104,15 +104,17 @@ class PairSource {
   std::span<const uint8_t> shard_ok_;
 };
 
-/// The efficient O(h) POI-to-POI query of §3.4 (same-layer scan +
-/// first-higher + first-lower passes), implemented once over the non-owning
-/// view forms. Every representation of the oracle answers through this
+/// The efficient O(h) POI-to-POI query of §3.4 (same-layer, first-higher
+/// and first-lower candidates), implemented once over the non-owning view
+/// forms. Every representation of the oracle answers through this
 /// function and its one scalar probe path: SeOracle and OracleView pass a
 /// monolithic PairSource over their views, PackView passes its sharded one
 /// — the answers are bit-identical because the probed structures hold
 /// byte-identical records. Each candidate pair is probed as it is
-/// generated and the query stops at the first stored pair, so a query
-/// costs as many probes as that pair's position in the §3.4 sequence.
+/// generated, layer by layer from the leaves up, and the query stops at
+/// the first stored pair, so a query costs as many probes as that pair's
+/// position in this order. Exactly one candidate is stored (the unique
+/// node pair match property), so the order sets the cost, never the answer.
 ///
 /// `s` and `t` must already be validated against the POI count.
 StatusOr<double> OracleDistance(const CompressedTreeView& tree,

@@ -71,7 +71,8 @@ class OracleView {
   }
 
   /// ε-approximate distance between POIs s and t — the efficient O(h)
-  /// query of §3.4 (same-layer scan + first-higher + first-lower passes).
+  /// query of §3.4 (same-layer, first-higher and first-lower candidates,
+  /// probed from the leaf layer up; see OracleDistance).
   /// The scratch-free overload uses a thread_local QueryScratch.
   StatusOr<double> Distance(uint32_t s, uint32_t t) const {
     static thread_local QueryScratch scratch;

@@ -1,10 +1,13 @@
 // The query's one scalar probe path: OracleDistance probes each §3.4
-// candidate as it is generated and stops at the first stored pair. Its
-// answers must be bit-identical on every representation (built oracle,
-// mapped view, pack, degraded pack), equal to the O(h²) naive scan, and
-// equal to answers recorded before the probe path was rewritten; and its
-// probe count must be exactly the position of the matching pair in the
-// candidate sequence. Exhaustive over all n² pairs of a small fixture.
+// candidate as it is generated, from the leaf layer up, and stops at the
+// first stored pair. Its answers must be bit-identical on every
+// representation (built oracle, mapped view, pack, degraded pack), equal to
+// the O(h²) naive scan, and equal to answers recorded before the probe path
+// was rewritten; and its probe count must be exactly the position of the
+// matching pair in the candidate sequence. The order is answer-neutral
+// because exactly one candidate is stored (the unique node pair match
+// property), which is checked on every representation and solver.
+// Exhaustive over all n² pairs of a small fixture.
 
 #include <algorithm>
 #include <cstdint>
@@ -20,7 +23,9 @@
 #include "base/crc32.h"
 #include "base/histogram.h"
 #include "base/probe_stats.h"
+#include "dyn/dynamic_oracle.h"
 #include "geodesic/dijkstra_solver.h"
+#include "geodesic/solver_factory.h"
 #include "oracle/oracle_serde.h"
 #include "oracle/oracle_view.h"
 #include "oracle/pack_format.h"
@@ -29,6 +34,7 @@
 #include "query/knn.h"
 #include "query/range_query.h"
 #include "terrain/dataset.h"
+#include "terrain/poi_generator.h"
 
 namespace tso {
 namespace {
@@ -170,30 +176,62 @@ TEST(ProbePath, AnswersMatchRecordedCrc) {
   }
 }
 
-/// The §3.4 candidate sequence for (s, t), enumerated here from the
-/// ancestor arrays independently of the library's visitor: same layer,
-/// then first-higher, then first-lower.
-std::vector<std::pair<uint32_t, uint32_t>> CandidateSequence(
-    const CompressedTreeView& tree, uint32_t s, uint32_t t) {
+using Candidate = std::pair<uint32_t, uint32_t>;
+
+/// The §3.4 candidate sequence for (s, t) in probe order, enumerated here
+/// from the ancestor arrays independently of the library's visitor: from
+/// the leaf layer up, each layer i gives its same-layer pair, then its
+/// first-higher pairs <A_s[k], A_t[i]>, then its first-lower pairs
+/// <A_s[i], A_t[k]>, with k from i − 1 down to the layer of the parent of
+/// the layer-i node.
+std::vector<Candidate> CandidateSequence(const CompressedTreeView& tree,
+                                         uint32_t s, uint32_t t) {
+  std::vector<uint32_t> as, at;
+  tree.AncestorArray(tree.leaf_of_poi(s), &as);
+  tree.AncestorArray(tree.leaf_of_poi(t), &at);
+  std::vector<Candidate> seq;
+  for (int i = tree.height(); i >= 0; --i) {
+    if (as[i] != kInvalidId && at[i] != kInvalidId) {
+      seq.emplace_back(as[i], at[i]);
+    }
+    if (i == 0) break;
+    if (at[i] != kInvalidId && tree.node(at[i]).parent != kInvalidId) {
+      const int lo = tree.node(tree.node(at[i]).parent).layer;
+      for (int k = i - 1; k >= lo; --k) {
+        if (as[k] != kInvalidId) seq.emplace_back(as[k], at[i]);
+      }
+    }
+    if (as[i] != kInvalidId && tree.node(as[i]).parent != kInvalidId) {
+      const int lo = tree.node(tree.node(as[i]).parent).layer;
+      for (int k = i - 1; k >= lo; --k) {
+        if (at[k] != kInvalidId) seq.emplace_back(as[i], at[k]);
+      }
+    }
+  }
+  return seq;
+}
+
+/// The same candidates in the paper's three-pass order: every same-layer
+/// pair from the root down, then every first-higher pair, then every
+/// first-lower pair.
+std::vector<Candidate> ThreePassSequence(const CompressedTreeView& tree,
+                                         uint32_t s, uint32_t t) {
   std::vector<uint32_t> as, at;
   tree.AncestorArray(tree.leaf_of_poi(s), &as);
   tree.AncestorArray(tree.leaf_of_poi(t), &at);
   const int h = tree.height();
-  std::vector<std::pair<uint32_t, uint32_t>> seq;
+  std::vector<Candidate> seq;
   for (int i = 0; i <= h; ++i) {
     if (as[i] != kInvalidId && at[i] != kInvalidId) {
       seq.emplace_back(as[i], at[i]);
     }
   }
-  // first-higher: <O, O'> with O' in A_t, O in A_s at the layers from
-  // Layer(parent(O')) up to (excluding) Layer(O').
   for (int i = 1; i <= h; ++i) {
     if (at[i] == kInvalidId || tree.node(at[i]).parent == kInvalidId) continue;
     for (int k = tree.node(tree.node(at[i]).parent).layer; k < i; ++k) {
       if (as[k] != kInvalidId) seq.emplace_back(as[k], at[i]);
     }
   }
-  // first-lower: the mirror image.
   for (int i = 1; i <= h; ++i) {
     if (as[i] == kInvalidId || tree.node(as[i]).parent == kInvalidId) continue;
     for (int k = tree.node(tree.node(as[i]).parent).layer; k < i; ++k) {
@@ -237,6 +275,130 @@ TEST(ProbePath, ProbesStopAtFirstHit) {
         // The built oracle carries the ancestor table: no tree walks.
         EXPECT_EQ(counters.prefetches, 0u) << s << "->" << t;
       }
+    }
+  }
+}
+
+TEST(ProbePath, LeavesFirstIsAPermutationOfThreePass) {
+  ProbeFixture& fx = Fixture();
+  const uint32_t n = static_cast<uint32_t>(fx.oracle->num_pois());
+  const CompressedTreeView& tree = fx.view->tree();
+  for (uint32_t s = 0; s < n; ++s) {
+    for (uint32_t t = 0; t < n; ++t) {
+      if (s == t) continue;
+      std::vector<Candidate> leaves_first = CandidateSequence(tree, s, t);
+      std::vector<Candidate> three_pass = ThreePassSequence(tree, s, t);
+      ASSERT_FALSE(leaves_first.empty()) << s << "->" << t;
+      std::sort(leaves_first.begin(), leaves_first.end());
+      std::sort(three_pass.begin(), three_pass.end());
+      EXPECT_EQ(leaves_first, three_pass) << s << "->" << t;
+    }
+  }
+}
+
+/// The stored candidates of (s, t) in `source`'s base: every candidate the
+/// source's PairSource answers. `*unavailable` is set when some candidate
+/// lives only in dead shards.
+std::vector<Candidate> StoredCandidates(const DistanceSource& source,
+                                        uint32_t s, uint32_t t,
+                                        bool* unavailable) {
+  std::vector<Candidate> stored;
+  for (const Candidate& c : CandidateSequence(source.tree(), s, t)) {
+    double d;
+    if (source.pair_source().Lookup(c.first, c.second, &d, unavailable)) {
+      stored.push_back(c);
+    }
+  }
+  return stored;
+}
+
+/// The unique node pair match property, which makes the probe order
+/// answer-neutral: for every ordered pair of distinct base POIs, exactly
+/// one §3.4 candidate is stored. Returns each pair's match, row-major.
+std::vector<Candidate> ExpectUniqueMatch(const DistanceSource& source,
+                                         const std::string& name) {
+  const uint32_t n = static_cast<uint32_t>(source.tree().num_pois());
+  std::vector<Candidate> matches(static_cast<size_t>(n) * n);
+  for (uint32_t s = 0; s < n; ++s) {
+    for (uint32_t t = 0; t < n; ++t) {
+      if (s == t) continue;
+      bool unavailable = false;
+      const std::vector<Candidate> stored =
+          StoredCandidates(source, s, t, &unavailable);
+      EXPECT_EQ(stored.size(), 1u) << name << ": " << s << "->" << t;
+      if (!stored.empty()) matches[s * n + t] = stored.front();
+    }
+  }
+  return matches;
+}
+
+TEST(ProbePath, ExactlyOneCandidateStoredOnEveryRepresentation) {
+  ProbeFixture& fx = Fixture();
+  const std::vector<Candidate> healthy =
+      ExpectUniqueMatch(MakeSource(*fx.oracle), "oracle");
+  EXPECT_EQ(ExpectUniqueMatch(MakeSource(*fx.view), "view"), healthy);
+  EXPECT_EQ(ExpectUniqueMatch(MakeSource(*fx.pack), "pack"), healthy);
+
+  // A degraded pack answers a subset: at most the healthy match, and no
+  // match only when some candidate's shards are dead.
+  const DistanceSource degraded = MakeSource(*fx.degraded);
+  const uint32_t n = static_cast<uint32_t>(fx.oracle->num_pois());
+  size_t answered = 0;
+  for (uint32_t s = 0; s < n; ++s) {
+    for (uint32_t t = 0; t < n; ++t) {
+      if (s == t) continue;
+      bool unavailable = false;
+      const std::vector<Candidate> stored =
+          StoredCandidates(degraded, s, t, &unavailable);
+      ASSERT_LE(stored.size(), 1u) << s << "->" << t;
+      if (stored.empty()) {
+        EXPECT_TRUE(unavailable) << s << "->" << t;
+      } else {
+        ++answered;
+        EXPECT_EQ(stored.front(), healthy[s * n + t]) << s << "->" << t;
+      }
+    }
+  }
+  EXPECT_GT(answered, 0u);
+
+  // A dynamic snapshot's base pairs, over the built base after churn and
+  // over the base a compaction rebuilt from the live set.
+  DynamicOracleOptions options;
+  options.base.epsilon = 0.25;
+  options.compaction_ratio = 100.0;  // compact only when asked
+  StatusOr<std::unique_ptr<DynamicSeOracle>> created =
+      DynamicSeOracle::Create(*fx.ds->mesh, fx.ds->pois, *fx.solver, options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  DynamicSeOracle& dyn = **created;
+  Rng rng(29);
+  for (const SurfacePoint& p :
+       GenerateUniformPois(*fx.ds->mesh, *fx.ds->locator, 6, rng)) {
+    ASSERT_TRUE(dyn.Insert(p).ok());
+  }
+  ASSERT_TRUE(dyn.Remove(4).ok());
+  ASSERT_TRUE(dyn.Remove(n + 2).ok());
+  ExpectUniqueMatch(dyn.Pin().source(), "dynamic after churn");
+  ASSERT_TRUE(dyn.Compact().ok());
+  EXPECT_EQ(dyn.Pin().source().tree().num_pois(), dyn.num_live());
+  ExpectUniqueMatch(dyn.Pin().source(), "dynamic after compaction");
+}
+
+TEST(ProbePath, ExactlyOneCandidateStoredForEverySolver) {
+  ProbeFixture& fx = Fixture();
+  for (SolverKind kind :
+       {SolverKind::kDijkstra, SolverKind::kSteiner, SolverKind::kMmpExact}) {
+    StatusOr<std::unique_ptr<GeodesicSolver>> solver =
+        MakeSolver(kind, *fx.ds->mesh);
+    ASSERT_TRUE(solver.ok());
+    for (double epsilon : {0.1, 0.25}) {
+      SeOracleOptions options;
+      options.epsilon = epsilon;
+      StatusOr<SeOracle> built = SeOracle::Build(*fx.ds->mesh, fx.ds->pois,
+                                                 **solver, options, nullptr);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      ExpectUniqueMatch(MakeSource(*built), std::string(SolverKindName(kind)) +
+                                                " eps " +
+                                                std::to_string(epsilon));
     }
   }
 }
