@@ -52,7 +52,9 @@ void EmitBuild(const char* solver, uint32_t threads, uint32_t batch,
   PhaseLine(solver, threads, batch, "enhanced", st.enhanced_seconds, 0)
       .Int("enhanced_sweeps", st.enhanced_sweeps)
       .Emit();
-  PhaseLine(solver, threads, batch, "pairs", st.pair_gen_seconds, 0).Emit();
+  PhaseLine(solver, threads, batch, "pairs", st.pair_gen_seconds, 0)
+      .Int("node_pairs", st.node_pairs)
+      .Emit();
   PhaseLine(solver, threads, batch, "total", st.total_seconds, st.ssad_runs)
       .Emit();
   if (!kernel) return;

@@ -12,12 +12,18 @@
 namespace tso {
 namespace {
 
+/// Relative margin of the separation test: the covering radii and center
+/// distances come from different sweeps, so the test must not accept a pair
+/// that rounding alone makes well separated.
+constexpr double kSeparationMargin = 1e-12;
+
 /// One unit of the §3.3 splitting recursion: either emits (a, b) as
 /// well-separated or pushes the split children. Shared by the serial and
 /// parallel paths so both walk the identical recursion tree.
 struct SplitWalk {
   const CompressedTree& tree;
-  double separation;
+  std::span<const double> radii;  // covering radius ρ per node
+  double separation;              // (1/ε + 1), with the rounding margin
   const std::function<double(uint32_t, uint32_t)>& center_dist;
   std::vector<NodePair>* out;
   size_t considered = 0;
@@ -37,9 +43,7 @@ struct SplitWalk {
     const double dist = a <= b ? center_dist(na.center, nb.center)
                                : center_dist(nb.center, na.center);
     ++dist_evals;
-    // Radii of the *enlarged* disks (2x node radius; Distance property).
-    const double enlarged = 2.0 * std::max(na.radius, nb.radius);
-    if (dist >= separation * enlarged) {
+    if (dist >= separation * (radii[a] + radii[b])) {
       if (a <= b) out->push_back({a, b, dist});
       return;
     }
@@ -50,9 +54,8 @@ struct SplitWalk {
     } else {
       split_a = a <= b;
     }
-    // A leaf (radius 0) can never be the split side of a non-separated pair
-    // unless both are leaves with distance < separation*0 = 0, i.e. a == b
-    // co-located; radius ties at 0 mean dist == 0 which is well-separated.
+    // Two leaves (ρ = 0) are always well separated, so the split side is
+    // never a leaf.
     const uint32_t to_split = split_a ? a : b;
     TSO_CHECK_GT(tree.node(to_split).num_children, 0u);
     for (uint32_t c = tree.node(to_split).first_child; c != kInvalidId;
@@ -72,6 +75,20 @@ struct SplitWalk {
   }
 };
 
+double Separation(double epsilon) {
+  return (1.0 / epsilon + 1.0) * (1.0 + kSeparationMargin);
+}
+
+Status ValidateGenerateArgs(const CompressedTree& tree, double epsilon,
+                            std::span<const double> radii) {
+  TSO_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
+  if (radii.size() != tree.num_nodes()) {
+    return Status::InvalidArgument(
+        "node pair set: one covering radius per tree node is required");
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Status ValidateEpsilon(double epsilon) {
@@ -79,6 +96,20 @@ Status ValidateEpsilon(double epsilon) {
     return Status::InvalidArgument("epsilon must be finite and positive");
   }
   return Status::Ok();
+}
+
+std::vector<double> CoveringRadii(
+    const CompressedTree& tree,
+    const std::function<double(uint32_t, uint32_t)>& center_dist) {
+  std::vector<double> radii(tree.num_nodes(), 0.0);
+  for (uint32_t p = 0; p < tree.num_pois(); ++p) {
+    for (uint32_t o = tree.node(tree.leaf_of_poi(p)).parent; o != kInvalidId;
+         o = tree.node(o).parent) {
+      const uint32_t center = tree.node(o).center;
+      if (center != p) radii[o] = std::max(radii[o], center_dist(center, p));
+    }
+  }
+  return radii;
 }
 
 StatusOr<NodePairSet> NodePairSet::FromPairs(std::span<const NodePair> pairs,
@@ -114,14 +145,12 @@ StatusOr<NodePairSet> NodePairSet::FromPairs(std::span<const NodePair> pairs,
 }
 
 StatusOr<NodePairSet> NodePairSet::Generate(
-    const CompressedTree& tree, double epsilon,
+    const CompressedTree& tree, double epsilon, std::span<const double> radii,
     const std::function<double(uint32_t, uint32_t)>& center_dist,
     NodePairSetStats* stats) {
-  TSO_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
-  const double separation = 2.0 / epsilon + 2.0;
-
+  TSO_RETURN_IF_ERROR(ValidateGenerateArgs(tree, epsilon, radii));
   std::vector<NodePair> pairs;
-  SplitWalk walk{tree, separation, center_dist, &pairs};
+  SplitWalk walk{tree, radii, Separation(epsilon), center_dist, &pairs};
   std::vector<std::pair<uint32_t, uint32_t>> stack;
   stack.emplace_back(tree.root(), tree.root());
   walk.Run(stack);
@@ -135,16 +164,16 @@ StatusOr<NodePairSet> NodePairSet::Generate(
 }
 
 StatusOr<NodePairSet> NodePairSet::Generate(
-    const CompressedTree& tree, double epsilon,
+    const CompressedTree& tree, double epsilon, std::span<const double> radii,
     const NodePairParallelOptions& options, NodePairSetStats* stats) {
-  TSO_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
+  TSO_RETURN_IF_ERROR(ValidateGenerateArgs(tree, epsilon, radii));
   if (options.make_center_dist == nullptr) {
     return Status::InvalidArgument("make_center_dist is required");
   }
   if (options.num_threads <= 1) {
-    return Generate(tree, epsilon, options.make_center_dist(0), stats);
+    return Generate(tree, epsilon, radii, options.make_center_dist(0), stats);
   }
-  const double separation = 2.0 / epsilon + 2.0;
+  const double separation = Separation(epsilon);
   const uint32_t num_threads = options.num_threads;
 
   // Breadth-first seed expansion on the calling thread (with worker 0's
@@ -153,7 +182,7 @@ StatusOr<NodePairSet> NodePairSet::Generate(
   const std::function<double(uint32_t, uint32_t)> seed_dist =
       options.make_center_dist(0);
   std::vector<NodePair> done;
-  SplitWalk seed_walk{tree, separation, seed_dist, &done};
+  SplitWalk seed_walk{tree, radii, separation, seed_dist, &done};
   std::deque<std::pair<uint32_t, uint32_t>> frontier;
   frontier.emplace_back(tree.root(), tree.root());
   const size_t target_seeds = 8 * static_cast<size_t>(num_threads);
@@ -179,7 +208,7 @@ StatusOr<NodePairSet> NodePairSet::Generate(
     pool.emplace_back([&, t]() {
       const std::function<double(uint32_t, uint32_t)> dist_fn =
           options.make_center_dist(t);
-      SplitWalk walk{tree, separation, dist_fn, &shard_pairs[t]};
+      SplitWalk walk{tree, radii, separation, dist_fn, &shard_pairs[t]};
       std::vector<std::pair<uint32_t, uint32_t>> stack;
       while (true) {
         const size_t k = next.fetch_add(1);

@@ -145,20 +145,39 @@ struct NodePairParallelOptions {
       make_center_dist;
 };
 
-/// SE's node pair set (§3.3): starting from (root, root), non-well-separated
-/// pairs are split at the larger-radius node until every pair satisfies
-/// d(c_O, c_O') >= (2/ε + 2) · max(2 r_O, 2 r_O'). The result has the unique
-/// node pair match property (Theorem 1) and O(n h / ε^{2β}) pairs
-/// (Theorem 2). Each unordered pair is stored once, as (a, b) with a <= b;
-/// keys and distances sit in the slot order of a pilot-table perfect hash
-/// for O(1) probes.
+/// The measured covering radius of every node of `tree`, indexed by node id:
+/// ρ(O) = max over the POIs p under O of center_dist(c_O, p), 0 for leaves.
+/// Costs one center_dist call per (node, POI below it) pair, O(n h) in all.
+/// SE-Naive and the tests take ρ from here; the efficient construction
+/// reads the same distances off its enhanced-edge sweeps instead.
+std::vector<double> CoveringRadii(
+    const CompressedTree& tree,
+    const std::function<double(uint32_t, uint32_t)>& center_dist);
+
+/// SE's node pair set (§3.3): starting from (root, root), pairs that are not
+/// well separated are split at the larger-radius node until every pair
+/// satisfies d(c_O, c_O') >= (1/ε + 1) · (ρ_O + ρ_O'), with ρ the nodes'
+/// covering radii (`radii`, indexed by node id; see CoveringRadii) and a
+/// relative margin of 1e-12 for solver rounding. The test is sound: every
+/// POI s under O and t under O' has |d(s, t) − d(c_O, c_O')| <= ρ_O + ρ_O'
+/// by the triangle inequality, and d(s, t) >= d(c_O, c_O') − ρ_O − ρ_O' >=
+/// (ρ_O + ρ_O')/ε, so the stored center distance is within ε·d(s, t). The
+/// split rule reads the layer radii r_i alone, so the recursion keeps the
+/// paper's shape: each POI pair ends at one stored pair on its recursion
+/// path, which stays among its §3.4 candidates (the unique node pair match
+/// property, Theorem 1), and there are O(n h / ε^{2β}) pairs (Theorem 2).
+/// Each unordered pair is stored once, as (a, b) with a <= b; keys and
+/// distances sit in the slot order of a pilot-table perfect hash for O(1)
+/// probes. `radii` is read during the build only; the stored tree keeps r_i.
 class NodePairSet {
  public:
   /// `center_dist(ca, cb)` must return the geodesic distance between POIs
   /// ca and cb (the efficient construction supplies the enhanced-edge
-  /// lookup; the naive one runs SSAD per call).
+  /// lookup; the naive one runs SSAD per call). `radii` must hold one
+  /// covering radius per node of `tree` (InvalidArgument otherwise).
   static StatusOr<NodePairSet> Generate(
       const CompressedTree& tree, double epsilon,
+      std::span<const double> radii,
       const std::function<double(uint32_t, uint32_t)>& center_dist,
       NodePairSetStats* stats = nullptr);
 
@@ -166,6 +185,7 @@ class NodePairSet {
   /// same set (same order, same distances) as the serial overload.
   static StatusOr<NodePairSet> Generate(const CompressedTree& tree,
                                         double epsilon,
+                                        std::span<const double> radii,
                                         const NodePairParallelOptions& options,
                                         NodePairSetStats* stats = nullptr);
 

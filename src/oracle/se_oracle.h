@@ -36,8 +36,9 @@ struct SeOracleOptions {
   /// set. The built oracle is identical for any thread count given the same
   /// seed. When unset, construction is single-threaded on the injected
   /// solver. The factory must produce solvers over the same mesh and metric
-  /// as the injected one.
-  SolverFactory parallel_solver_factory;
+  /// as the injected one. Initialized, so designated initializers such as
+  /// `{.epsilon = 0.1}` may leave it out without -Wmissing-field-initializers.
+  SolverFactory parallel_solver_factory = nullptr;
   /// Worker threads for the parallel phases; 0 = hardware concurrency.
   uint32_t num_threads = 0;
   /// Sources per SSAD sweep in the enhanced-edge phase: distinct tree

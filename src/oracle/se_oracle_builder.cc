@@ -1,5 +1,6 @@
 #include "oracle/se_oracle_builder.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <functional>
@@ -56,6 +57,9 @@ struct EnhancedLayer {
   std::vector<SurfacePoint> center_points;  // aligned with layer_nodes
   std::unique_ptr<XyGrid> grid;      // x-y prefilter over the centers
   std::unordered_map<uint32_t, uint32_t> center_to_index;  // POI -> index
+  // Aligned with layer_nodes: the compressed node whose covering radius the
+  // center's sweep at this layer measures, or kInvalidId.
+  std::vector<uint32_t> measured;
 };
 
 /// Emits every enhanced edge of `layer` anchored at its center index `i`,
@@ -135,10 +139,19 @@ Status ShardEnhancedWork(
 /// ids, indexed by the same pilot hash as the oracle's own pair set. Its id
 /// space is the original tree, which is larger than the compressed one, so
 /// its keys are 8 bytes wide once that tree has more than 65,535 nodes.
+///
+/// The same sweeps measure the covering radius ρ(O) of each compressed node
+/// O into `radii`: a center's sweep at layer m reaches min(l·r_m, 2·r_0) >=
+/// 2·r_m, so its labels hold d(c_O, p) for every POI p under O (Distance
+/// property). A compressed node is the bottom of its single-child chain, so
+/// its own layer is one its center's sweeps harvest, unless that layer holds
+/// no other node (the root, and the chain below it). Those keep the bound
+/// in `radii`; they hold every POI and are always split.
 StatusOr<NodePairSet> BuildEnhancedEdges(
-    const PartitionTree& tree, const std::vector<SurfacePoint>& pois,
-    GeodesicSolver& solver, const SeOracleOptions& options,
-    uint32_t num_threads, SeBuildStats* st) {
+    const PartitionTree& tree, const CompressedTree& compressed,
+    const std::vector<SurfacePoint>& pois, GeodesicSolver& solver,
+    const SeOracleOptions& options, uint32_t num_threads, SeBuildStats* st,
+    std::vector<double>* radii) {
   const double l = 8.0 / options.epsilon + 10.0;
   // Sources per sweep: the requested batch, clamped to what the solver's
   // kernel can tag (1 for solvers without native multi-source support).
@@ -168,6 +181,22 @@ StatusOr<NodePairSet> BuildEnhancedEdges(
     for (uint32_t i = 0; i < nodes.size(); ++i) {
       layer.center_to_index.emplace(tree.node(nodes[i]).center, i);
     }
+    layer.measured.assign(nodes.size(), kInvalidId);
+  }
+
+  // The POIs under each compressed node, and where its ρ is measured.
+  std::vector<std::vector<uint32_t>> pois_under(compressed.num_nodes());
+  for (uint32_t p = 0; p < pois.size(); ++p) {
+    for (uint32_t o = compressed.node(compressed.leaf_of_poi(p)).parent;
+         o != kInvalidId; o = compressed.node(o).parent) {
+      pois_under[o].push_back(p);
+    }
+  }
+  for (uint32_t o = 0; o < compressed.num_nodes(); ++o) {
+    const CompressedTreeNode& node = compressed.node(o);
+    EnhancedLayer& layer = layers[node.layer];
+    if (node.num_children == 0 || layer.grid == nullptr) continue;
+    layer.measured[layer.center_to_index.at(node.center)] = o;
   }
 
   // A center persists to every deeper layer (pc-priority selection + the
@@ -196,6 +225,17 @@ StatusOr<NodePairSet> BuildEnhancedEdges(
     TSO_CHECK(it != layers[m].center_to_index.end());
     EmitLayerEdges(layers[m], tree.layer_nodes(m), it->second, s,
                    source_index, candidates, out);
+    // Each (layer, center) is harvested by exactly one work item, so the
+    // workers write disjoint entries of `radii`.
+    if (const uint32_t o = layers[m].measured[it->second]; o != kInvalidId) {
+      double rho = 0.0;
+      for (uint32_t p : pois_under[o]) {
+        if (p != center) {
+          rho = std::max(rho, s.BatchPointDistance(source_index, pois[p]));
+        }
+      }
+      (*radii)[o] = rho;
+    }
   };
 
   EdgeEntries entries;
@@ -355,13 +395,20 @@ StatusOr<SeOracle> SeOracleBuilder::Build(std::vector<SurfacePoint> pois) {
   double epsilon = options.epsilon;
   CompressedTree compressed = CompressedTree::FromPartitionTree(*tree);
 
+  // Covering radii for the separation test: the Distance-property bound
+  // 2·r_i until a measurement replaces it (leaves: 0).
+  std::vector<double> radii(compressed.num_nodes());
+  for (uint32_t o = 0; o < compressed.num_nodes(); ++o) {
+    radii[o] = 2.0 * compressed.node(o).radius;
+  }
+
   // --- Steps 2+3 (efficient only): enhanced edges + perfect hash ---
   phase_timer.Reset();
   NodePairSet enhanced;
   if (options.construction == ConstructionMethod::kEfficient &&
       pois.size() > 1) {
     StatusOr<NodePairSet> built = BuildEnhancedEdges(
-        *tree, pois, solver, options, num_threads, &st);
+        *tree, compressed, pois, solver, options, num_threads, &st, &radii);
     if (!built.ok()) return built.status();
     enhanced = std::move(*built);
     st.enhanced_edges = enhanced.size();
@@ -428,16 +475,21 @@ StatusOr<SeOracle> SeOracleBuilder::Build(std::vector<SurfacePoint> pois) {
     };
   };
 
+  // SE-Naive measures ρ through its per-pair memo (worker 0's function; no
+  // worker runs yet).
+  if (options.construction == ConstructionMethod::kNaive) {
+    radii = CoveringRadii(compressed, make_center_dist(0));
+  }
   NodePairSetStats pair_stats;
   StatusOr<NodePairSet> pairs{Status::Internal("unset")};
   if (num_threads > 1) {
     NodePairParallelOptions par;
     par.num_threads = num_threads;
     par.make_center_dist = make_center_dist;
-    pairs = NodePairSet::Generate(compressed, options.epsilon, par,
+    pairs = NodePairSet::Generate(compressed, options.epsilon, radii, par,
                                   &pair_stats);
   } else {
-    pairs = NodePairSet::Generate(compressed, options.epsilon,
+    pairs = NodePairSet::Generate(compressed, options.epsilon, radii,
                                   make_center_dist(0), &pair_stats);
   }
   st.ssad_runs += naive_ssad_runs.load();

@@ -40,22 +40,52 @@ struct Fixture {
   std::function<double(uint32_t, uint32_t)> DistFn() {
     return [this](uint32_t a, uint32_t b) { return exact->Distance(a, b); };
   }
+
+  StatusOr<NodePairSet> Generate(double eps,
+                                 NodePairSetStats* stats = nullptr) {
+    return NodePairSet::Generate(ct, eps, CoveringRadii(ct, DistFn()),
+                                 DistFn(), stats);
+  }
 };
 
 TEST(NodePairSet, AllPairsWellSeparated) {
+  // Every stored pair passes the covering-radius separation test.
   Fixture fx(15, 31);
   const double eps = 0.2;
-  StatusOr<NodePairSet> set =
-      NodePairSet::Generate(fx.ct, eps, fx.DistFn(), nullptr);
+  const std::vector<double> radii = CoveringRadii(fx.ct, fx.DistFn());
+  StatusOr<NodePairSet> set = fx.Generate(eps);
   ASSERT_TRUE(set.ok());
-  const double sep = 2.0 / eps + 2.0;
+  const double sep = 1.0 / eps + 1.0;
   for (const NodePair& pair : set->pairs()) {
     const auto& na = fx.ct.node(pair.a);
     const auto& nb = fx.ct.node(pair.b);
-    const double enlarged = 2.0 * std::max(na.radius, nb.radius);
-    EXPECT_GE(pair.distance, sep * enlarged - 1e-9);
+    EXPECT_GE(pair.distance, sep * (radii[pair.a] + radii[pair.b]));
     EXPECT_NEAR(pair.distance, fx.exact->Distance(na.center, nb.center),
                 1e-9 * (1.0 + pair.distance));
+  }
+}
+
+TEST(NodePairSet, CoveringRadiiAreMeasuredCenterDistances) {
+  // ρ(O) is the largest distance from O's center to a POI under O: within
+  // the Distance-property bound 2·r_O, 0 at the leaves, and attained.
+  Fixture fx(15, 31);
+  const std::vector<double> radii = CoveringRadii(fx.ct, fx.DistFn());
+  ASSERT_EQ(radii.size(), fx.ct.num_nodes());
+  std::vector<double> farthest(fx.ct.num_nodes(), 0.0);
+  for (uint32_t p = 0; p < fx.ds->pois.size(); ++p) {
+    for (uint32_t o = fx.ct.leaf_of_poi(p); o != kInvalidId;
+         o = fx.ct.node(o).parent) {
+      farthest[o] = std::max(farthest[o],
+                             fx.exact->Distance(fx.ct.node(o).center, p));
+    }
+  }
+  for (uint32_t o = 0; o < fx.ct.num_nodes(); ++o) {
+    const auto& node = fx.ct.node(o);
+    EXPECT_EQ(radii[o], farthest[o]) << o;
+    EXPECT_LE(radii[o], 2.0 * node.radius + 1e-9) << o;
+    if (node.num_children == 0) {
+      EXPECT_EQ(radii[o], 0.0) << o;
+    }
   }
 }
 
@@ -67,7 +97,7 @@ TEST(NodePairSet, UniqueNodePairMatchProperty) {
   for (uint64_t seed : {41u, 43u}) {
     Fixture fx(12, seed);
     StatusOr<NodePairSet> set =
-        NodePairSet::Generate(fx.ct, 0.25, fx.DistFn(), nullptr);
+        fx.Generate(0.25);
     ASSERT_TRUE(set.ok());
 
     // Ancestor sets (node -> is ancestor-or-self of leaf).
@@ -102,7 +132,7 @@ TEST(NodePairSet, MatchedDistanceIsEpsApprox) {
   Fixture fx(14, 47);
   const double eps = 0.15;
   StatusOr<NodePairSet> set =
-      NodePairSet::Generate(fx.ct, eps, fx.DistFn(), nullptr);
+      fx.Generate(eps);
   ASSERT_TRUE(set.ok());
   auto ancestors = [&](uint32_t poi) {
     std::vector<bool> anc(fx.ct.num_nodes(), false);
@@ -131,7 +161,7 @@ TEST(NodePairSet, MatchedDistanceIsEpsApprox) {
 TEST(NodePairSet, LookupMatchesPairs) {
   Fixture fx(13, 53);
   StatusOr<NodePairSet> set =
-      NodePairSet::Generate(fx.ct, 0.2, fx.DistFn(), nullptr);
+      fx.Generate(0.2);
   ASSERT_TRUE(set.ok());
   for (const NodePair& pair : set->pairs()) {
     double d;
@@ -152,9 +182,9 @@ TEST(NodePairSet, SmallerEpsMorePairs) {
   Fixture fx(16, 59);
   NodePairSetStats coarse_stats, fine_stats;
   StatusOr<NodePairSet> coarse =
-      NodePairSet::Generate(fx.ct, 0.5, fx.DistFn(), &coarse_stats);
+      fx.Generate(0.5, &coarse_stats);
   StatusOr<NodePairSet> fine =
-      NodePairSet::Generate(fx.ct, 0.05, fx.DistFn(), &fine_stats);
+      fx.Generate(0.05, &fine_stats);
   ASSERT_TRUE(coarse.ok() && fine.ok());
   EXPECT_GE(fine->size(), coarse->size());
   EXPECT_GE(fine_stats.pairs_considered, coarse_stats.pairs_considered);
@@ -166,14 +196,23 @@ TEST(NodePairSet, SmallerEpsMorePairs) {
 
 TEST(NodePairSet, InvalidEpsilonRejected) {
   Fixture fx(6, 61);
-  EXPECT_FALSE(NodePairSet::Generate(fx.ct, 0.0, fx.DistFn(), nullptr).ok());
-  EXPECT_FALSE(NodePairSet::Generate(fx.ct, -1.0, fx.DistFn(), nullptr).ok());
+  EXPECT_FALSE(fx.Generate(0.0).ok());
+  EXPECT_FALSE(fx.Generate(-1.0).ok());
+}
+
+TEST(NodePairSet, RadiiMustCoverEveryNode) {
+  Fixture fx(6, 61);
+  const std::vector<double> short_radii(fx.ct.num_nodes() - 1, 0.0);
+  EXPECT_EQ(NodePairSet::Generate(fx.ct, 0.25, short_radii, fx.DistFn())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(NodePairSet, SelfPairsHaveZeroDistance) {
   Fixture fx(10, 67);
   StatusOr<NodePairSet> set =
-      NodePairSet::Generate(fx.ct, 0.3, fx.DistFn(), nullptr);
+      fx.Generate(0.3);
   ASSERT_TRUE(set.ok());
   for (uint32_t p = 0; p < fx.ds->pois.size(); ++p) {
     const uint32_t leaf = fx.ct.leaf_of_poi(p);

@@ -198,6 +198,7 @@ TEST(SeOracle, NonFiniteOrNonPositiveEpsilonRejectedBeforeAnySsad) {
         ++center_dist_calls;
         return 1.0;
       };
+  const std::vector<double> radii(compressed.num_nodes(), 1.0);
   NodePairParallelOptions parallel;
   parallel.num_threads = 2;
   parallel.make_center_dist = [&](uint32_t) { return center_dist; };
@@ -213,9 +214,11 @@ TEST(SeOracle, NonFiniteOrNonPositiveEpsilonRejectedBeforeAnySsad) {
         SeOracle::Build(*fx.ds->mesh, fx.ds->pois, dijkstra, options, nullptr)
             .status());
     expect_invalid(
-        NodePairSet::Generate(compressed, eps, center_dist, nullptr).status());
+        NodePairSet::Generate(compressed, eps, radii, center_dist, nullptr)
+            .status());
     expect_invalid(
-        NodePairSet::Generate(compressed, eps, parallel, nullptr).status());
+        NodePairSet::Generate(compressed, eps, radii, parallel, nullptr)
+            .status());
     DynamicOracleOptions dyn_options;
     dyn_options.base = options;
     expect_invalid(
@@ -426,10 +429,10 @@ TEST(SeOracle, MmpBuildMatchesRecordedBytes) {
   // extension that lost labels would miss enhanced edges.
   //
   // Two pins: the content CRC over the canonical (a <= b) records
-  // (format-independent; recorded by running ContentCrc against the
-  // TSOFLAT 2.0 build, which stored both orientations, so it proves the
-  // 3.0 and 4.0 builds keep exactly the bits of those records) and the
-  // size and CRC of the TSOFLAT 4.0 bytes.
+  // (format-independent) and the size and CRC of the TSOFLAT 4.0 bytes.
+  // Both were re-recorded when the separation test moved from the layer
+  // radii to the measured covering radii, which stores fewer pairs
+  // (33,216 -> 27,328 bytes at ε = 0.1, 32,576 -> 20,992 at ε = 0.25).
   OracleFixture fx(60, 37);
   const TerrainMesh& mesh = *fx.ds->mesh;
   struct Recorded {
@@ -439,8 +442,8 @@ TEST(SeOracle, MmpBuildMatchesRecordedBytes) {
     uint32_t crc32;
   };
   for (const Recorded& want :
-       {Recorded{0.1, 1631274966u, 33216, 504656587u},
-        Recorded{0.25, 1344012372u, 32576, 2468704600u}}) {
+       {Recorded{0.1, 2786625109u, 27328, 903682617u},
+        Recorded{0.25, 3135335288u, 20992, 2140547177u}}) {
     for (uint32_t threads : {1u, 4u}) {
       SeOracleOptions options;
       options.epsilon = want.epsilon;
