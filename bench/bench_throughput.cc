@@ -6,9 +6,9 @@
 // oracle, packed into 4 shards, is then served by a ServeEngine in process
 // and by a tsod server over loopback TCP.
 //
-// Besides the usual table, every measurement is emitted as one
-// machine-readable line (schema in docs/bench-json.md; the CI gate tracks
-// the workload sizes, exact counters and coarse floors):
+// Every measurement is emitted as one machine-readable line (schema in
+// docs/bench-json.md; the CI gate tracks the workload sizes, exact counters
+// and coarse floors):
 //   BENCH {"bench":"throughput","workload":...,"threads":...,"qps":...}
 //   BENCH {"bench":"serve","workload":"net_p2p","queries":...,"qps":...}
 // The process exits non-zero if any answer over the wire differs from the
@@ -90,7 +90,6 @@ uint64_t RunNetWorkloads(
   StatusOr<std::vector<double>> expected = engine.Batch(pairs, 1);
   TSO_CHECK(expected.ok());
   LoopbackConnection wire(engine);
-  std::printf("net: serving on 127.0.0.1:%u\n", wire.server.port());
 
   // net_p2p: pipelined single-distance RPCs with a bounded outstanding
   // window. The server coalesces each pipelined run into one engine batch.
@@ -108,11 +107,6 @@ uint64_t RunNetWorkloads(
     if (!d.ok() || !BitsEqual(*d, (*expected)[received])) ++p2p_mismatches;
   }
   const double p2p_qps = pairs.size() / p2p_timer.ElapsedSeconds();
-  std::printf(
-      "net_p2p: %zu pipelined queries (%.0f qps, window %zu, %llu "
-      "mismatches)\n",
-      pairs.size(), p2p_qps, kWindow,
-      static_cast<unsigned long long>(p2p_mismatches));
   BenchJson("serve")
       .Str("workload", "net_p2p")
       .Int("queries", pairs.size())
@@ -131,9 +125,6 @@ uint64_t RunNetWorkloads(
       if (!BitsEqual((*got)[i], (*expected)[i])) ++batch_mismatches;
     }
   }
-  std::printf("net_batch: %zu queries in one RPC (%.0f qps, %llu mismatches)\n",
-              pairs.size(), batch_qps,
-              static_cast<unsigned long long>(batch_mismatches));
   BenchJson("serve")
       .Str("workload", "net_batch")
       .Int("queries", pairs.size())
@@ -154,14 +145,6 @@ uint64_t RunNetWorkloads(
     hist.Record(static_cast<uint64_t>(rt.ElapsedMicros()));
     if (!d.ok() || !BitsEqual(*d, (*expected)[i])) ++lat_mismatches;
   }
-  std::printf(
-      "net_latency: %zu blocking round trips, p50=%llu p95=%llu p99=%llu "
-      "max=%llu us (%llu mismatches)\n",
-      kLatencyQueries, static_cast<unsigned long long>(hist.Percentile(50.0)),
-      static_cast<unsigned long long>(hist.Percentile(95.0)),
-      static_cast<unsigned long long>(hist.Percentile(99.0)),
-      static_cast<unsigned long long>(hist.max()),
-      static_cast<unsigned long long>(lat_mismatches));
   BenchJson("serve")
       .Str("workload", "net_latency")
       .Int("queries", kLatencyQueries)
@@ -226,13 +209,6 @@ void RunOverloadScript(const char* bench, const char* workload,
   TSO_CHECK(shed_stats.shed == kShedQueries);
   TSO_CHECK(deadline_stats.deadline_exceeded == kDeadlineQueries);
   TSO_CHECK(deadline_stats.health == ServeHealth::kServing);
-  std::printf(
-      "%s: %llu shed at max_inflight=1, %llu deadline-exceeded at 100us "
-      "budget, %llu served after recovery (health %s)\n",
-      workload, static_cast<unsigned long long>(shed_stats.shed),
-      static_cast<unsigned long long>(deadline_stats.deadline_exceeded),
-      static_cast<unsigned long long>(kRecoveryQueries),
-      ServeHealthName(deadline_stats.health));
   BenchJson(bench)
       .Str("workload", workload)
       .Int("shed", shed_stats.shed)
@@ -244,32 +220,23 @@ void RunOverloadScript(const char* bench, const char* workload,
 
 int Run() {
   const uint64_t seed = 42;
-  PrintHeader("Query throughput — concurrent batch engine",
-              "system bench (query/batch.h), not a paper figure", seed);
-
   // More POIs than the figure benches: the kNN workload shards its candidate
   // scan over POIs, and the engine only spawns a worker per 64 candidates.
   StatusOr<Dataset> ds = MakePaperDataset(PaperDataset::kSanFranciscoSmall,
                                           Scaled(1000), Scaled(400), seed);
   TSO_CHECK(ds.ok());
-  std::cout << ds->mesh->DebugString() << ", n=" << ds->n() << "\n";
 
   MmpSolver solver(*ds->mesh);
   SeOracleOptions options = ParallelSeOptions(*ds->mesh, 0.1, seed);
-  SeBuildStats stats;
   StatusOr<SeOracle> oracle =
-      SeOracle::Build(*ds->mesh, ds->pois, solver, options, &stats);
+      SeOracle::Build(*ds->mesh, ds->pois, solver, options, nullptr);
   TSO_CHECK(oracle.ok());
-  std::printf("oracle: h=%d, %zu node pairs, built in %.2fs\n", stats.height,
-              stats.node_pairs, stats.total_seconds);
 
   Rng qrng(seed + 7);
   const size_t num_queries = Scaled(200000);
   const auto pairs = MakeQueryPairs(ds->n(), num_queries, qrng);
 
   // --- Workload 1: P2P distance batches ---
-  Table p2p("P2P DistanceBatch QPS vs threads",
-            {"threads", "queries", "seconds", "qps", "speedup"});
   double base_qps = 0.0;
   for (uint32_t threads : ThreadCounts()) {
     WallTimer timer;
@@ -280,10 +247,8 @@ int Run() {
     const double qps = pairs.size() / seconds;
     if (threads == 1) base_qps = qps;
     const double speedup = qps / base_qps;
-    p2p.AddRow(threads, pairs.size(), seconds, qps, speedup);
     EmitJson("p2p", threads, pairs.size(), seconds, qps, speedup);
   }
-  p2p.Print();
 
   // --- Workload 1b: serial per-query latency distribution ---
   // One query at a time through a reused QueryScratch, each timed into the
@@ -304,13 +269,6 @@ int Run() {
           std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start)
               .count()));
     }
-    std::printf(
-        "p2p_latency: %zu serial queries, p50=%llu p95=%llu p99=%llu "
-        "max=%llu ns\n",
-        lat_queries, static_cast<unsigned long long>(hist.Percentile(50.0)),
-        static_cast<unsigned long long>(hist.Percentile(95.0)),
-        static_cast<unsigned long long>(hist.Percentile(99.0)),
-        static_cast<unsigned long long>(hist.max()));
     BenchJson("throughput")
         .Str("workload", "p2p_latency")
         .Int("queries", lat_queries)
@@ -348,13 +306,6 @@ int Run() {
         TSO_CHECK(KnnQuery(pc_source, q, 10).ok());
       }
     }
-    std::printf(
-        "probe_counters: %zu queries, %llu probes (%llu hits), %llu "
-        "prefetches; %u kNN queries, %llu probes\n",
-        pc_queries, static_cast<unsigned long long>(counters.probes),
-        static_cast<unsigned long long>(counters.hits),
-        static_cast<unsigned long long>(counters.prefetches), pc_knn_queries,
-        static_cast<unsigned long long>(knn_counters.probes));
     BenchJson("throughput")
         .Str("workload", "probe_counters")
         .Int("queries", pc_queries)
@@ -370,8 +321,6 @@ int Run() {
   // Every POI queries its 10 nearest neighbours; repeated so each timed run
   // is long enough to measure.
   const size_t knn_repeats = std::max<size_t>(1, Scaled(200));
-  Table knn("kNN (k=10, all POIs) seconds vs threads",
-            {"threads", "knn_queries", "seconds", "qps", "speedup"});
   base_qps = 0.0;
   for (uint32_t threads : ThreadCounts()) {
     WallTimer timer;
@@ -387,10 +336,8 @@ int Run() {
     const double qps = total / seconds;
     if (threads == 1) base_qps = qps;
     const double speedup = qps / base_qps;
-    knn.AddRow(threads, total, seconds, qps, speedup);
     EmitJson("knn10", threads, total, seconds, qps, speedup);
   }
-  knn.Print();
 
   // --- Workload 3: multi-shard oracle pack serving ---
   // The serving-tier representation: the same oracle resharded into a
@@ -410,9 +357,6 @@ int Run() {
     TSO_CHECK(reopened.ok());
   }
   const double open_seconds = open_timer.ElapsedSeconds() / open_iters;
-  std::printf("pack open: %u shards, %.1f KiB, %.1f us/open (%zu opens)\n",
-              pack_options.num_shards, pack_bytes->size() / 1024.0,
-              open_seconds * 1e6, open_iters);
   BenchJson("throughput")
       .Str("workload", "pack_open")
       .Int("shards", pack_options.num_shards)
@@ -423,8 +367,6 @@ int Run() {
 
   StatusOr<PackView> pack = PackView::FromBuffer(*pack_bytes);
   TSO_CHECK(pack.ok());
-  Table routed("Pack-routed P2P DistanceBatch QPS vs threads (4 shards)",
-               {"threads", "queries", "seconds", "qps", "speedup"});
   base_qps = 0.0;
   for (uint32_t threads : ThreadCounts()) {
     WallTimer timer;
@@ -435,7 +377,6 @@ int Run() {
     const double qps = pairs.size() / seconds;
     if (threads == 1) base_qps = qps;
     const double speedup = qps / base_qps;
-    routed.AddRow(threads, pairs.size(), seconds, qps, speedup);
     BenchJson("throughput")
         .Str("workload", "pack_p2p")
         .Int("shards", pack_options.num_shards)
@@ -446,7 +387,6 @@ int Run() {
         .Num("speedup", speedup, 3)
         .Emit();
   }
-  routed.Print();
 
   // --- Workload 4: mixed read/write over the dynamic oracle ---
   // A single writer drives a deterministic insert/remove script (every 4th
@@ -535,15 +475,6 @@ int Run() {
   size_t dyn_reads = 0;
   for (size_t reads : reader_reads) dyn_reads += reads;
   const double dyn_qps = dyn_reads / dyn_seconds;
-  std::printf(
-      "dyn_mixed: base n=%u, %zu ops (%llu inserts / %llu removes, "
-      "%llu compactions) in %.2fs, %zu reads on %u threads in %.2fs "
-      "(%.0f qps)\n",
-      dyn_base_n, dyn_ops,
-      static_cast<unsigned long long>(dyn_stats.inserts),
-      static_cast<unsigned long long>(dyn_stats.removes),
-      static_cast<unsigned long long>(dyn_stats.compactions), writer_seconds,
-      dyn_reads, kDynReaders, dyn_seconds, dyn_qps);
   BenchJson("throughput")
       .Str("workload", "dyn_mixed")
       .Int("threads", kDynReaders)

@@ -6,14 +6,17 @@
 
 namespace tso {
 
+double SpOracle::InnerEpsilon(const SpOracleOptions& options) {
+  return options.inner_epsilon != 0.0 ? options.inner_epsilon
+                                      : std::max(options.epsilon, 0.25);
+}
+
 StatusOr<SpOracle> SpOracle::Build(const TerrainMesh& mesh,
                                    const SpOracleOptions& options,
                                    SpBuildStats* stats) {
   WallTimer timer;
   A2AOracleOptions inner;
-  inner.epsilon = options.inner_epsilon != 0.0
-                      ? options.inner_epsilon
-                      : std::max(options.epsilon, 0.25);
+  inner.epsilon = InnerEpsilon(options);
   inner.seed = options.seed;
   // Default density is capped low: the N-driven Steiner blow-up that the
   // paper's evaluation measures is already present at density 1-2, while

@@ -14,9 +14,9 @@ struct SpOracleOptions {
   uint32_t steiner_points_per_edge = 0;
   /// WSPD error parameter of the inner index; 0 = max(epsilon, 0.25).
   /// The Djidjev–Sommer original indexes exact G_eps distances; our WSPD
-  /// stand-in adds its own (empirically ~eps/10) error, so a floored inner
-  /// epsilon keeps observed errors within the requested bound while keeping
-  /// the index buildable (docs/reproduction.md, substitution 3).
+  /// stand-in adds its own error, and below 0.25 its pair count over all
+  /// |G_eps| nodes outgrows the suite's budget. With the floor, answers may
+  /// err by more than `epsilon` (docs/reproduction.md, substitution 3).
   double inner_epsilon = 0.0;
 };
 
@@ -42,6 +42,11 @@ class SpOracle {
   static StatusOr<SpOracle> Build(const TerrainMesh& mesh,
                                   const SpOracleOptions& options,
                                   SpBuildStats* stats = nullptr);
+
+  /// The error parameter of the inner WSPD index: `inner_epsilon`, or
+  /// max(epsilon, 0.25) when that is 0. This, not `epsilon`, is the
+  /// relative error an answer is allowed.
+  static double InnerEpsilon(const SpOracleOptions& options);
 
   /// ε-approximate distance between arbitrary surface points (covers P2P,
   /// V2V and A2A alike — the oracle is POI-independent).

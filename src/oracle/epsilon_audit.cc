@@ -49,6 +49,9 @@ EpsilonAudit AuditEpsilon(
     }
   }
   if (!rel_errs.empty()) {
+    double sum = 0.0;
+    for (double e : rel_errs) sum += e;
+    audit.rel_err_mean = sum / static_cast<double>(rel_errs.size());
     const size_t rank = (rel_errs.size() * 99 + 99) / 100 - 1;
     std::nth_element(rel_errs.begin(), rel_errs.begin() + rank,
                      rel_errs.end());

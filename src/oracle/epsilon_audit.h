@@ -25,6 +25,8 @@ struct EpsilonAudit {
   uint64_t violations = 0;  // answers outside the ε contract
   double rel_err_max = 0.0;  // |d̃ − d| / d over the checked pairs with d > 0
   double rel_err_p99 = 0.0;  // nearest-rank 99th percentile of the same
+  // Mean of the same.
+  double rel_err_mean = 0.0;
 };
 
 /// Checks the ε contract |d̃ − d| <= ε·d on every pair (sources[i], t) for

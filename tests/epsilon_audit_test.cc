@@ -241,6 +241,27 @@ TEST(AuditEpsilon, CountsViolationsRefusalsAndPercentiles) {
   EXPECT_NEAR(audit.rel_err_p99, 0.05, 1e-12);
 }
 
+TEST(AuditEpsilon, ExactMeanMaxAndP99OnHandMadeRows) {
+  // Exact distances 1..200; three answers err by 1/2, 1/4 and 1/8 of their
+  // distance (exact in binary), the other 197 are exact. Sorted, the
+  // nearest-rank 99th percentile of 200 errors is the 198th: 1/8.
+  std::vector<std::vector<double>> rows(1);
+  for (int t = 0; t < 200; ++t) rows[0].push_back(t + 1.0);
+  const AnswerFn answer = [&](uint32_t, uint32_t t) -> StatusOr<double> {
+    if (t == 0) return 1.5;
+    if (t == 1) return 2.5;
+    if (t == 3) return 4.5;
+    return rows[0][t];
+  };
+  const uint32_t source = 0;
+  const EpsilonAudit audit = AuditEpsilon(answer, {&source, 1}, rows, 0.25);
+  EXPECT_EQ(audit.checked, 200u);
+  EXPECT_EQ(audit.violations, 1u);
+  EXPECT_EQ(audit.rel_err_max, 0.5);
+  EXPECT_EQ(audit.rel_err_p99, 0.125);
+  EXPECT_DOUBLE_EQ(audit.rel_err_mean, 0.875 / 200);
+}
+
 TEST(AuditEpsilon, NanAnswerIsAViolation) {
   const std::vector<std::vector<double>> rows = {{0.0, 2.0}};
   const uint32_t source = 0;
